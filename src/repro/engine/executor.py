@@ -409,9 +409,10 @@ class Executor:
         """
         uidx = rt.uidx[u]
         box = rt.inbox.get(u, {})
-        batches = [box.pop(s) for s in range(start, start + k)]
-        bytes_in = sum(pdf_nbytes(b) for b in batches)
-        merged = concat_batches(batches)
+        merged = concat_batches([box.pop(s) for s in range(start, start + k)])
+        # The k morsels share one schema, so sizing the concatenation is
+        # one dtype walk and equals the sum of their sizes.
+        bytes_in = pdf_nbytes(merged)
         out = None
         if merged is not None:
             out = rt.op.on_batch(uidx, merged)
@@ -607,8 +608,9 @@ class Executor:
         remote_slices = 0
         retrace = desc["retrace"]
         for seq, out in desc["outputs"]:
-            bytes_out += pdf_nbytes(out)
-            rowb = row_nbytes(out) if out is not None else 0
+            rows = len(out) if out is not None else 0
+            rowb = row_nbytes(out) if rows else 0
+            bytes_out += rowb * rows
             for dest, u, s, sl in self._deliveries_for(rt.cid, seq, out):
                 drt = self.channels[dest]
                 if retrace and drt.retrace == 0:

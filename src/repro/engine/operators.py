@@ -20,7 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 import pandas as pd
 
-from .util import pdf_nbytes
+from .partition import key_hash
+from .util import pdf_nbytes, row_nbytes
 
 MapFn = Callable[[pd.DataFrame], pd.DataFrame]
 
@@ -42,57 +43,99 @@ class Operator(ABC):
 
 
 class _JoinSide:
-    """One side of a symmetric hash join: accumulated rows + a
-    persistent key→row-positions index, maintained incrementally so each
-    probe costs O(batch + matches) instead of rebuilding a hash over the
-    whole accumulated side (which would make streaming joins quadratic).
+    """One side of a symmetric hash join, held column by column.
+
+    Each column lives in a numpy buffer whose capacity doubles, so appends
+    cost O(batch) amortised and the side is held once in RAM. Every row's
+    key hash (:func:`partition.key_hash`) feeds a sorted (hash, position)
+    index; the next probe stably sorts the rows appended since the last
+    one and merges them in, so equal hashes stay in insertion order. A
+    probe is two ``searchsorted`` calls plus a ``repeat``/``cumsum``
+    expansion of the matching runs — no Python loop over keys.
     """
 
     def __init__(self, keys: list[str]) -> None:
         self.keys = keys
-        self.chunks: list[pd.DataFrame] = []
         self.n = 0
-        self.index: dict = {}
-        self._cat: Optional[pd.DataFrame] = None
-        self._cat_n = 0
+        self._cols: dict[str, np.ndarray] = {}
+        self._hash = np.empty(0, dtype=np.uint64)
+        self._idx_hash = np.empty(0, dtype=np.uint64)
+        self._idx_pos = np.empty(0, dtype=np.int64)
+        self._nbytes = 0
 
-    def append(self, pdf: pd.DataFrame) -> None:
-        groups = pdf.groupby(self.keys, sort=False).indices
-        for k, pos in groups.items():
-            gp = pos + self.n
-            prev = self.index.get(k)
-            self.index[k] = gp if prev is None else np.concatenate([prev, gp])
-        self.chunks.append(pdf)
-        self.n += len(pdf)
+    def append(self, pdf: pd.DataFrame, h: np.ndarray) -> None:
+        """Add ``pdf``'s rows, whose key hashes are ``h``."""
+        end = self.n + len(pdf)
+        cap = len(self._hash)
+        if end > cap:
+            cap = max(end, 2 * cap)
+            self._hash = _grown(self._hash, self.n, cap, np.uint64)
+        self._hash[self.n:end] = h
+        for c in pdf.columns:
+            vals = pdf[c].to_numpy()
+            buf = self._cols.get(c, vals[:0])
+            # A batch whose column is wider than the buffer (float into
+            # int, say) widens the buffer as pd.concat would.
+            if len(buf) < cap or not np.can_cast(vals.dtype, buf.dtype):
+                dtype = np.result_type(buf.dtype, vals.dtype)
+                buf = self._cols[c] = _grown(buf, self.n, cap, dtype)
+            buf[self.n:end] = vals
+        self.n = end
+        self._nbytes += row_nbytes(pdf) * len(pdf)
 
-    def frame(self) -> pd.DataFrame:
-        if self._cat_n != self.n:
-            self._cat = (
-                self.chunks[0]
-                if len(self.chunks) == 1
-                else pd.concat(self.chunks, ignore_index=True)
-            )
-            self._cat_n = self.n
-        return self._cat
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted (hash, position) index over all rows appended."""
+        done = len(self._idx_pos)
+        if done < self.n:
+            order = np.argsort(self._hash[done:self.n], kind="stable")
+            new_h = self._hash[done:self.n][order]
+            # side="right" files new rows after the indexed rows with an
+            # equal hash, so every run of equal hashes stays in insertion
+            # order; the merge is linear in the side.
+            at = np.searchsorted(self._idx_hash, new_h, side="right")
+            self._idx_hash = np.insert(self._idx_hash, at, new_h)
+            self._idx_pos = np.insert(self._idx_pos, at, order + done)
+        return self._idx_hash, self._idx_pos
 
-    def probe(self, pdf: pd.DataFrame, probe_keys: list[str]):
-        """Positions (mine, probe's) of all matching row pairs."""
+    def probe(self, h: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Positions (mine, probe's) of all row pairs with equal key hash,
+        grouped by probe row in hash order, each group in my insertion
+        order."""
         if not self.n:
             return None
-        groups = pdf.groupby(probe_keys, sort=False).indices
-        mine, theirs = [], []
-        for k, ppos in groups.items():
-            bpos = self.index.get(k)
-            if bpos is None:
-                continue
-            mine.append(np.repeat(bpos, len(ppos)))
-            theirs.append(np.tile(ppos, len(bpos)))
-        if not mine:
+        idx_hash, idx_pos = self._index()
+        # Sorted needles keep consecutive binary searches on the same
+        # cache lines: several times faster than in probe-row order.
+        order = np.argsort(h, kind="stable")
+        h = h[order]
+        lo = np.searchsorted(idx_hash, h, side="left")
+        cnt = np.searchsorted(idx_hash, h, side="right") - lo
+        total = int(cnt.sum())
+        if not total:
             return None
-        return np.concatenate(mine), np.concatenate(theirs)
+        theirs = np.repeat(order, cnt)
+        # Pair j of sorted probe row r sits at idx_hash[lo[r] + j - first[r]],
+        # where first[r] is the number of pairs before row r's.
+        first = np.cumsum(cnt) - cnt
+        mine = idx_pos[np.arange(total) - np.repeat(first - lo, cnt)]
+        return mine, theirs
+
+    def column(self, c: str) -> np.ndarray:
+        return self._cols[c][: self.n]
+
+    def take(self, pos: np.ndarray) -> dict[str, np.ndarray]:
+        """Rows ``pos`` as ``{column: values}``."""
+        return {c: buf[pos] for c, buf in self._cols.items()}
 
     def nbytes(self) -> int:
-        return sum(pdf_nbytes(c) for c in self.chunks)
+        return self._nbytes
+
+
+def _grown(buf: np.ndarray, n: int, cap: int, dtype) -> np.ndarray:
+    """A ``cap``-row buffer of ``dtype`` holding ``buf``'s first n rows."""
+    out = np.empty(cap, dtype=dtype)
+    out[:n] = buf[:n]
+    return out
 
 
 class SymmetricHashJoin(Operator):
@@ -103,7 +146,9 @@ class SymmetricHashJoin(Operator):
     inserted into side ``i``'s table. Correct for any interleaving of the
     two inputs, which is what lets a *dynamic* scheduler choose freely —
     and what makes the logged consumption order the only thing recovery
-    must pin down.
+    must pin down. Emitted rows are grouped by probe row; the order is a
+    deterministic function of the consumption sequence, so replays stay
+    byte-identical.
 
     ``post`` is an optional fused stateless map/filter over emitted rows.
     The plan builder guarantees the two sides have disjoint column names.
@@ -123,22 +168,41 @@ class SymmetricHashJoin(Operator):
             raise ValueError(f"join has upstreams 0/1, got {upstream_idx}")
         if pdf is None or len(pdf) == 0:
             return None
+        mine = self._sides[upstream_idx]
         other = self._sides[1 - upstream_idx]
-        probe_keys = self.left_on if upstream_idx == 0 else self.right_on
-        hit = other.probe(pdf, probe_keys)
+        h = key_hash(pdf, mine.keys)
+        hit = other.probe(h)
         out = None
         if hit is not None:
-            opos, ppos = hit
-            other_rows = other.frame().iloc[opos].reset_index(drop=True)
-            probe_rows = pdf.iloc[ppos].reset_index(drop=True)
-            if upstream_idx == 0:  # keep left columns first
-                out = pd.concat([probe_rows, other_rows], axis=1)
-            else:
-                out = pd.concat([other_rows, probe_rows], axis=1)
-        self._sides[upstream_idx].append(pdf)
-        if out is not None and len(out) and self.post is not None:
+            opos, ppos = self._verified(hit, other, pdf, mine.keys)
+            if len(opos):
+                probe_cols = {c: pdf[c].to_numpy()[ppos] for c in pdf}
+                left, right = probe_cols, other.take(opos)
+                if upstream_idx == 1:  # keep left columns first
+                    left, right = right, left
+                # Every column is a fresh gather, so the frame may own it
+                # as is rather than copy it into consolidated blocks.
+                out = pd.DataFrame({**left, **right}, copy=False)
+        mine.append(pdf, h)
+        if out is not None and self.post is not None:
             out = self.post(out)
         return out if out is not None and len(out) else None
+
+    @staticmethod
+    def _verified(hit, other: _JoinSide, pdf: pd.DataFrame, keys: list[str]):
+        """Drop hash-equal pairs whose real keys differ. Equal hashes imply
+        equal keys (see ``key_hash``) only for one integer key on both
+        sides, so every other key shape is re-checked column by column."""
+        opos, ppos = hit
+        if len(keys) == 1 and (
+            pdf[keys[0]].dtype.kind in "iu"
+            and other.column(other.keys[0]).dtype.kind in "iu"
+        ):
+            return opos, ppos
+        keep = np.ones(len(opos), dtype=bool)
+        for ok, pk in zip(other.keys, keys):
+            keep &= other.column(ok)[opos] == pdf[pk].to_numpy()[ppos]
+        return opos[keep], ppos[keep]
 
     def state_nbytes(self) -> int:
         return self._sides[0].nbytes() + self._sides[1].nbytes()

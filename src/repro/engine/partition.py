@@ -44,12 +44,20 @@ def _col_hash(s: pd.Series) -> np.ndarray:
     return _mix64(vals)
 
 
-def hash_indices(pdf: pd.DataFrame, cols: list[str], n: int) -> np.ndarray:
-    """Channel index in ``[0, n)`` for every row, hashing ``cols``."""
+def key_hash(pdf: pd.DataFrame, cols: list[str]) -> np.ndarray:
+    """uint64 hash of every row's ``cols`` — the one key hash shared by
+    shuffle routing and the join index. For a single integer column it is
+    a bijection of the value (the splitmix64 finaliser is invertible), so
+    equal hashes mean equal keys; otherwise callers must check equality."""
     h = np.zeros(len(pdf), dtype=np.uint64)
     for c in cols:
         h = h * _GOLDEN + _col_hash(pdf[c])
-    return (_mix64(h) % np.uint64(n)).astype(np.int64)
+    return h
+
+
+def hash_indices(pdf: pd.DataFrame, cols: list[str], n: int) -> np.ndarray:
+    """Channel index in ``[0, n)`` for every row, hashing ``cols``."""
+    return (_mix64(key_hash(pdf, cols)) % np.uint64(n)).astype(np.int64)
 
 
 def partition(
@@ -69,15 +77,16 @@ def partition(
         out[0] = pdf
         return out
     idx = hash_indices(pdf, cols, n)
-    # One stable argsort + n slices beats n boolean masks; stability
+    # One stable argsort, one gather, then n contiguous slices; stability
     # preserves within-slice row order, keeping slices replay-identical.
     order = np.argsort(idx, kind="stable")
     bounds = np.searchsorted(idx[order], np.arange(n + 1))
+    taken = pdf.take(order)
     out: list[Optional[pd.DataFrame]] = []
     for i in range(n):
         a, b = bounds[i], bounds[i + 1]
         if a == b:
             out.append(None)
         else:
-            out.append(pdf.iloc[order[a:b]].reset_index(drop=True))
+            out.append(taken.iloc[a:b].reset_index(drop=True))
     return out

@@ -3,7 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.engine import operators
 from repro.engine.operators import HashAgg, SymmetricHashJoin, TopK
+from repro.engine.util import pdf_nbytes
 
 
 def _sorted(df, cols=None):
@@ -116,6 +118,110 @@ def test_join_deterministic_replay(left_batches, right_batches):
     a = _drive(SymmetricHashJoin(["lk"], ["rk"]), feed)
     b = _drive(SymmetricHashJoin(["lk"], ["rk"]), feed)
     pd.testing.assert_frame_equal(a, b)  # byte-identical, not just equal
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_join_random_interleavings_heavy_duplicates(seed):
+    g = np.random.default_rng(seed)
+    lb = [
+        pd.DataFrame({"lk": g.integers(0, 6, n), "lv": g.random(n)})
+        for n in g.integers(1, 60, 12)
+    ]
+    rb = [
+        pd.DataFrame({"rk": g.integers(0, 6, n), "rv": g.random(n)})
+        for n in g.integers(1, 60, 9)
+    ]
+    feed = [(0, b) for b in lb] + [(1, b) for b in rb]
+    feed = [feed[i] for i in g.permutation(len(feed))]
+    got = _drive(SymmetricHashJoin(["lk"], ["rk"]), feed)
+    expected = _reference_join(lb, rb)
+    assert len(got) == len(expected)
+    pd.testing.assert_frame_equal(
+        _sorted(got), _sorted(expected), check_dtype=False
+    )
+
+
+def test_join_composite_keys_exact_under_hash_collisions(monkeypatch):
+    """With every key hashing alike, only the key check separates rows."""
+    monkeypatch.setattr(
+        operators, "key_hash", lambda pdf, cols: np.zeros(len(pdf), np.uint64)
+    )
+    g = np.random.default_rng(7)
+    left = [
+        pd.DataFrame({"a": g.integers(0, 4, 40), "b": g.integers(0, 3, 40),
+                      "s": g.choice(["x", "y"], 40), "x": g.random(40)})
+        for _ in range(3)
+    ]
+    right = [
+        pd.DataFrame({"c": g.integers(0, 4, 30), "d": g.integers(0, 3, 30),
+                      "t": g.choice(["x", "y"], 30), "y": g.random(30)})
+        for _ in range(3)
+    ]
+    feed = [(0, left[0]), (1, right[0]), (1, right[1]), (0, left[1]),
+            (0, left[2]), (1, right[2])]
+    got = _drive(SymmetricHashJoin(["a", "b", "s"], ["c", "d", "t"]), feed)
+    expected = pd.concat(left).merge(
+        pd.concat(right), left_on=["a", "b", "s"], right_on=["c", "d", "t"]
+    )
+    assert len(got) == len(expected)
+    pd.testing.assert_frame_equal(
+        _sorted(got), _sorted(expected), check_dtype=False
+    )
+
+
+def test_join_single_string_key_matches_exactly():
+    left = pd.DataFrame({"ls": ["a", "b", "c", "a"], "lv": [1, 2, 3, 4]})
+    right = pd.DataFrame({"rs": ["a", "c", "d"], "rv": [5, 6, 7]})
+    j = SymmetricHashJoin(["ls"], ["rs"])
+    j.on_batch(1, right)
+    got = j.on_batch(0, left)
+    expected = left.merge(right, left_on="ls", right_on="rs")
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(expected))
+
+
+def test_join_output_dtypes_match_merge():
+    left = pd.DataFrame({
+        "lk": np.array([1, 2, 2, 3], dtype="int64"),
+        "ld": pd.to_datetime(["1995-01-01", "1995-02-01", "1996-03-01",
+                              "1997-04-01"]).astype("datetime64[us]"),
+        "ls": ["a", "b", "c", "d"],
+        "lf": [0.5, 1.5, 2.5, 3.5],
+    })
+    right = pd.DataFrame({
+        "rk": np.array([2, 3, 3], dtype="int64"),
+        "rd": pd.to_datetime(["1998-01-01", "1998-01-02", "1998-01-03"])
+        .astype("datetime64[us]"),
+        "rs": ["x", "y", "z"],
+        "ri": np.array([7, 8, 9], dtype="int64"),
+    })
+    expected = left.merge(right, left_on="lk", right_on="rk")
+    for feed in ([(0, left), (1, right)], [(1, right), (0, left)]):
+        got = _drive(SymmetricHashJoin(["lk"], ["rk"]), feed)
+        assert list(got.columns) == list(expected.columns)
+        assert got.dtypes.to_dict() == expected.dtypes.to_dict()
+        pd.testing.assert_frame_equal(_sorted(got), _sorted(expected))
+
+
+def test_join_later_batch_widens_column_dtype():
+    ints = pd.DataFrame({"lk": [1, 2], "lv": np.array([10, 20], dtype="int64")})
+    floats = pd.DataFrame({"lk": [1, 2], "lv": [0.25, 0.75]})
+    right = pd.DataFrame({"rk": [1, 2], "rv": [5, 6]})
+    got = _drive(SymmetricHashJoin(["lk"], ["rk"]),
+                 [(0, ints), (0, floats), (1, right)])
+    expected = _reference_join([ints, floats], [right])
+    assert got.lv.dtype == np.float64
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(expected))
+
+
+def test_join_state_nbytes_equals_appended_batch_sizes(left_batches, right_batches):
+    j = SymmetricHashJoin(["lk"], ["rk"])
+    fed = []
+    for side, batch in [(0, left_batches[0]), (1, right_batches[0]),
+                        (0, left_batches[1]), (1, right_batches[1]),
+                        (0, left_batches[2])]:
+        j.on_batch(side, batch)
+        fed.append(batch)
+        assert j.state_nbytes() == sum(pdf_nbytes(b) for b in fed)
 
 
 # ---------------------------------------------------------------- HashAgg
