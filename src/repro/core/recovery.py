@@ -1,6 +1,6 @@
 """Failure recovery planner (paper §III-B, §IV-C, Algorithm 2).
 
-Pure function from GCS state + plan topology + failed workers to a
+Pure function from GCS state + channel wiring + failed workers to a
 :class:`RecoveryPlan`. Following the paper's Kubernetes-style
 *reconciliation* design, the coordinator never talks to TaskManagers: it
 only rewrites GCS state (assignments, task queues) plus a list of replay
@@ -59,24 +59,22 @@ class RecoveryPlan:
 def plan_recovery(
     store: LineageStore,
     *,
-    stage_upstreams: dict[int, list[int]],
-    stage_channels: dict[int, int],
+    upstream_channels: dict[ChannelId, list[ChannelId]],
     input_stages: set[int],
     dead_workers: set[int],
     live_workers: list[int],
     extra_dests: frozenset[ChannelId] | set[ChannelId] = frozenset(),
-    upstream_channels: dict[ChannelId, list[ChannelId]] | None = None,
 ) -> RecoveryPlan:
     """Algorithm 2. ``store`` is read; the caller applies the plan.
+
+    ``upstream_channels``: every channel of the plan, mapped to the
+    upstream channels it is wired to (empty for input channels; a fused
+    "aligned" consumer lists only its twin producer).
 
     ``extra_dests``: surviving channels that are mid-retrace from a
     *previous* recovery (nested failures) — they are not re-rewound, but
     their outstanding input needs are re-planned exactly like a rewound
     channel's (the replay tasks feeding them may have died too).
-
-    ``upstream_channels``: per-channel upstream wiring. Defaults to every
-    channel of every upstream stage; the engine passes the real wiring,
-    where fused ("aligned") consumers depend only on their twin channel.
     """
     if not live_workers:
         raise RuntimeError("no live workers left; query cannot be recovered")
@@ -98,46 +96,38 @@ def plan_recovery(
     rr = 0  # round-robin cursor for data-parallel rescan placement
 
     # Reverse topological order: stage ids are topo-ordered by construction,
-    # so descending id order visits consumers before their producers, letting
-    # the rewind set grow downward (a single pass reaches the fixpoint).
-    for stage in sorted(stage_channels, reverse=True):
-        for ch in range(stage_channels[stage]):
-            cid = (stage, ch)
-            if (cid not in rewound and cid not in extra_dests) or (
-                stage in input_stages
-            ):
-                continue
-            # Required inputs: every committed output of every upstream
-            # channel this one is wired to (the rewound channel retraces
-            # its whole history and keeps any surplus for its post-retrace
-            # dynamic continuation).
-            if upstream_channels is not None:
-                ups = upstream_channels[cid]
-            else:
-                ups = [
-                    (s, c)
-                    for s in stage_upstreams[stage]
-                    for c in range(stage_channels[s])
-                ]
-            for u in ups:
-                up_stage = u[0]
-                if u in rewound and up_stage not in input_stages:
-                    continue  # u re-executes and re-pushes everything
-                lineage = store.lineage(u)
-                for seq in range(len(lineage)):
-                    name = (u[0], u[1], seq)
-                    loc = store.location(name)
-                    alive = loc == DURABLE or loc in set(live_workers)
-                    if loc is not None and alive:
-                        replays[(name, cid)] = Replay(loc, name, cid)
-                    elif up_stage in input_stages:
-                        rec = lineage[seq]
-                        assert isinstance(rec, ScanLineage)
-                        w = live_workers[rr % len(live_workers)]
-                        rr += 1
-                        rescans[name] = Rescan(name, rec.batch_idx, w)
-                    else:
-                        rewound.add(u)  # recurse: reproduced later this pass
+    # so descending stage order visits consumers before their producers,
+    # letting the rewind set grow downward (a single pass reaches the
+    # fixpoint). Channels ascend within a stage, which fixes the
+    # round-robin placement of rescans.
+    for cid in sorted(upstream_channels, key=lambda c: (-c[0], c[1])):
+        if (cid not in rewound and cid not in extra_dests) or (
+            cid[0] in input_stages
+        ):
+            continue
+        # Required inputs: every committed output of every upstream
+        # channel this one is wired to (the rewound channel retraces its
+        # whole history and keeps any surplus for its post-retrace
+        # dynamic continuation).
+        for u in upstream_channels[cid]:
+            up_stage = u[0]
+            if u in rewound and up_stage not in input_stages:
+                continue  # u re-executes and re-pushes everything
+            lineage = store.lineage(u)
+            for seq in range(len(lineage)):
+                name = (u[0], u[1], seq)
+                loc = store.location(name)
+                alive = loc == DURABLE or loc in set(live_workers)
+                if loc is not None and alive:
+                    replays[(name, cid)] = Replay(loc, name, cid)
+                elif up_stage in input_stages:
+                    rec = lineage[seq]
+                    assert isinstance(rec, ScanLineage)
+                    w = live_workers[rr % len(live_workers)]
+                    rr += 1
+                    rescans[name] = Rescan(name, rec.batch_idx, w)
+                else:
+                    rewound.add(u)  # recurse: reproduced later this pass
 
     # Dead input channels: committed scans whose output has no surviving
     # copy (local backup or durable spool) become data-parallel rescans;

@@ -34,7 +34,6 @@ from .naming import (
     LineageRecord,
     TaskName,
     decode_channel,
-    decode_task,
     encode_channel,
     encode_record,
     encode_task,
@@ -118,9 +117,6 @@ class LineageStore:
 
     def set_location(self, name: TaskName, worker: int | str) -> None:
         self.gcs.set("loc", encode_task(name), worker)
-
-    def locations(self) -> dict[TaskName, int | str]:
-        return {decode_task(k): v for k, v in self.gcs.table("loc").items()}
 
     def prune_locations(self, dead_workers: set[int]) -> None:
         """Forget backups that lived on failed workers (their NVMe is gone)."""

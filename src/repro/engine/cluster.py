@@ -1,4 +1,4 @@
-"""Cluster substrate: workers, local NVMe, and the durable store.
+"""Cluster substrate: workers and their local NVMe.
 
 A :class:`Worker` models one cloud instance: task slots (TaskManager
 threads), a NIC and an NVMe disk (shared :class:`Timeline` s), a local
@@ -6,7 +6,8 @@ backup store for task outputs (upstream backup — lost when the worker
 dies), and the inboxes of the channels it hosts live in the executor's
 channel runtimes. :meth:`Worker.kill` implements the paper's fault model
 (spot pre-emption / pod eviction): all RAM *and* instance-attached disk
-contents vanish; only data in the durable store or the GCS survives.
+contents vanish; only data in the durable store (the executor's
+spooling target) or the GCS survives.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .simtime import Timeline
 class Worker:
     def __init__(self, wid: int, slots: int) -> None:
         self.wid = wid
-        self.slots = slots
         self.free_slots = slots
         self.alive = True
         self.nic = Timeline()
@@ -38,28 +38,3 @@ class Worker:
         self.backups.clear()
         self.free_slots = 0
 
-
-class DurableStore:
-    """S3/HDFS-sim: survives any worker failure (spooling target).
-
-    Contents are full task outputs keyed by name; costs are charged by
-    the cost model on the writing/reading worker's NIC plus per-object
-    latency, so spooling overhead scales the way the paper reports
-    (worse with more, smaller partitions).
-    """
-
-    def __init__(self) -> None:
-        self.objects: dict[TaskName, Optional[pd.DataFrame]] = {}
-        self.bytes_written = 0
-        self.puts = 0
-
-    def put(self, name: TaskName, pdf: Optional[pd.DataFrame], nbytes: int) -> None:
-        self.objects[name] = pdf
-        self.bytes_written += nbytes
-        self.puts += 1
-
-    def get(self, name: TaskName) -> Optional[pd.DataFrame]:
-        return self.objects[name]
-
-    def __contains__(self, name: TaskName) -> bool:
-        return name in self.objects

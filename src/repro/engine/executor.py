@@ -26,17 +26,22 @@ Execution modes (the experiment matrix; DESIGN.md §3):
 * ``exec_mode``: ``pipelined`` | ``stagewise`` (a stage's channels may
   not start until every upstream stage has closed — SparkSQL-like).
 * ``dep_mode``: ``dynamic`` (consume all available outputs from the
-  richest upstream channel) | ``static`` (consume exactly
-  ``static_batch`` outputs, waiting for them if necessary).
+  richest upstream channel, once at least :data:`DYNAMIC_MIN` have
+  accumulated) | ``static`` (consume exactly ``static_batch`` outputs,
+  waiting for them if necessary).
 * ``ft_mode``: ``none`` | ``wal`` | ``spool_s3`` | ``spool_hdfs`` |
-  ``checkpoint``. With ``none`` there are no backups at all, so a
-  failure degenerates to re-executing the whole pipeline — the paper's
-  "restart from scratch" baseline, measured rather than assumed.
+  ``checkpoint`` (operator state to S3 every :data:`CKPT_EVERY` tasks).
+  With ``none`` there are no backups at all, so a failure degenerates to
+  re-executing the whole pipeline — the paper's "restart from scratch"
+  baseline, measured rather than assumed.
 * ``recovery_mode``: ``pipelined_parallel`` (Quokka: stateful channels
   retrace task-by-task, different stages on different workers) |
   ``data_parallel`` (Spark-sim: a rewound channel recomputes its entire
   logged history as one monolithic task once all inputs are present —
   Spark's task granularity — so lost channels spread across the cluster).
+
+Each worker has :data:`SLOTS_PER_WORKER` task slots; scan stages get one
+channel per slot in the cluster, stateful stages one per worker.
 """
 from __future__ import annotations
 
@@ -58,33 +63,74 @@ from ..core.naming import (
 )
 from ..core.recovery import plan_recovery
 from ..core.wal import DURABLE, LineageStore
-from .cluster import DurableStore, Worker
+from .cluster import Worker
 from .operators import Operator
 from .partition import partition
 from .plan import OpStage, Plan, ScanStage
 from .simtime import CostModel
 from .util import concat_batches, pdf_nbytes, row_nbytes
 
+#: Task slots per worker (TaskManager threads of one r6id instance).
+SLOTS_PER_WORKER = 2
+#: Dynamic mode consumes everything available, but not before this many
+#: upstream outputs have accumulated (unless the upstream closed) —
+#: models TaskManager poll granularity / "maximize the number of input
+#: batches consumed" (paper §IV-A).
+DYNAMIC_MIN = 4
+#: Checkpoint mode ships a channel's operator state to S3 after every
+#: this many of its tasks.
+CKPT_EVERY = 4
+
+#: The accepted values of each ExecConfig mode field.
+MODES = {
+    "exec_mode": ("pipelined", "stagewise"),
+    "dep_mode": ("dynamic", "static"),
+    "ft_mode": ("none", "wal", "spool_s3", "spool_hdfs", "checkpoint"),
+    "recovery_mode": ("pipelined_parallel", "data_parallel"),
+}
+
 
 @dataclass
 class ExecConfig:
     n_workers: int = 4
-    slots_per_worker: int = 2
-    width: Optional[int] = None  # channels per data-parallel stage; default n_workers
     exec_mode: str = "pipelined"
     dep_mode: str = "dynamic"
-    static_batch: int = 8
-    #: dynamic mode consumes everything available, but not before this
-    #: many upstream outputs have accumulated (unless the upstream
-    #: closed) — models TaskManager poll granularity / "maximize the
-    #: number of input batches consumed" (paper §IV-A).
-    dynamic_min: int = 4
+    static_batch: int = 8  # read only in static dep_mode
     ft_mode: str = "wal"
     recovery_mode: str = "pipelined_parallel"
-    ckpt_every: int = 4
     input_batches: int = 16
     cost: CostModel = field(default_factory=CostModel)
     journal_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for name, allowed in MODES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(
+                    f"{name}={getattr(self, name)!r}; expected one of {allowed}"
+                )
+        if self.n_workers < 1:
+            raise ValueError(f"n_workers={self.n_workers}; need at least 1")
+        if self.dep_mode == "static" and self.static_batch < 1:
+            raise ValueError(f"static_batch={self.static_batch}; need at least 1")
+
+
+@dataclass
+class Task:
+    """One task's effects, computed eagerly when it is built and applied
+    at its completion event (a worker failure discards them together
+    with the channel state).
+
+    ``outputs`` are (seq, output) pairs with one lineage record each;
+    ``close`` is the channel's output total when this task closes it;
+    ``retrace`` marks a re-execution of already-committed lineage.
+    """
+
+    outputs: list[tuple[int, Optional[pd.DataFrame]]]
+    records: list[LineageRecord]
+    bytes_in: int = 0
+    scan: bool = False
+    close: Optional[int] = None
+    retrace: bool = False
 
 
 @dataclass
@@ -121,7 +167,7 @@ class ChannelRt:
         self.op = op
         self.scan_batches = scan_batches
         self.next_seq = 0
-        self.retrace = 0  # replay committed lineage for seq < retrace
+        #: committed lineage to replay exactly, for seq < len(retrace_records)
         self.retrace_records: list[LineageRecord] = []
         self.monolithic = False
         self.watermark: dict[ChannelId, int] = {}
@@ -155,8 +201,9 @@ class Executor:
         self.cfg = cfg
         self.cost = cfg.cost
         self.store = store or LineageStore(Gcs(cfg.journal_path))
-        self.durable = DurableStore()
-        self.workers = [Worker(i, cfg.slots_per_worker) for i in range(cfg.n_workers)]
+        #: S3/HDFS-sim spooling target: survives any worker failure.
+        self.durable: dict[TaskName, Optional[pd.DataFrame]] = {}
+        self.workers = [Worker(i, SLOTS_PER_WORKER) for i in range(cfg.n_workers)]
         self._ran = False
 
         # -- instantiate channels ------------------------------------------
@@ -168,10 +215,8 @@ class Executor:
         for sid, spec in enumerate(plan.stages):
             if spec.n_channels:
                 w = spec.n_channels
-            elif cfg.width:
-                w = cfg.width
             elif isinstance(spec, ScanStage):
-                w = cfg.n_workers * cfg.slots_per_worker
+                w = cfg.n_workers * SLOTS_PER_WORKER
             else:
                 w = cfg.n_workers
             if isinstance(spec, OpStage):
@@ -263,6 +308,12 @@ class Executor:
     def run(self, failures: tuple[Failure, ...] | list[Failure] = ()) -> RunResult:
         if self._ran:
             raise RuntimeError("Executor instances are single-use")
+        for f in failures:
+            if not 0 <= f.worker < self.cfg.n_workers:
+                raise ValueError(
+                    f"failure of worker {f.worker}: workers are "
+                    f"0..{self.cfg.n_workers - 1}"
+                )
         self._ran = True
         for cid, rt in self.channels.items():
             if isinstance(rt.spec, ScanStage) and not rt.scan_batches:
@@ -353,50 +404,49 @@ class Executor:
             rt = self.channels[cid]
             if rt.active or rt.done:
                 continue
-            desc = self._build_task(rt)
-            if desc is not None:
+            task = self._build_task(rt)
+            if task is not None:
                 self._cursor[w.wid] = (start + off + 1) % n
-                self._launch(now, w, rt, desc)
+                self._launch(now, w, rt, task)
                 return True
         return False
 
     # -------------------------------------------------------- task construction
 
-    def _build_task(self, rt: ChannelRt) -> Optional[dict]:
+    def _build_task(self, rt: ChannelRt) -> Optional[Task]:
         """Gather inputs and execute the kernel eagerly (effects are held
-        in the returned descriptor and applied at the completion event;
+        in the returned task and applied at the completion event;
         cancellation discards them together with the channel state)."""
         if not self._stage_ready(rt.cid[0]):
             return None
         if isinstance(rt.spec, ScanStage):
             return self._build_scan(rt)
-        if rt.next_seq < rt.retrace:
+        if rt.next_seq < len(rt.retrace_records):
             return self._build_retrace(rt)
         return self._build_streaming(rt)
 
-    def _build_scan(self, rt: ChannelRt) -> Optional[dict]:
-        if rt.next_seq >= len(rt.scan_batches):
-            return None
-        seq = rt.next_seq
-        batch_idx = rt.scan_batches[seq]
-        retrace = seq < rt.retrace
-        if retrace:
-            rec = rt.retrace_records[seq]
-            assert isinstance(rec, ScanLineage) and rec.batch_idx == batch_idx
-        raw = self.tables[rt.spec.table][batch_idx]
-        out = rt.spec.map_fn(raw) if rt.spec.map_fn else raw
+    def _scan(self, spec: ScanStage, batch_idx: int):
+        """Read one source batch through the fused map: (output or None
+        when empty, bytes read)."""
+        raw = self.tables[spec.table][batch_idx]
+        out = spec.map_fn(raw) if spec.map_fn else raw
         if out is not None and len(out) == 0:
             out = None
-        close = len(rt.scan_batches) if seq == len(rt.scan_batches) - 1 else None
-        return {
-            "type": "scan",
-            "outputs": [(seq, out)],
-            "records": [ScanLineage(batch_idx)],
-            "bytes_in": pdf_nbytes(raw),
-            "scan": True,
-            "close": close,
-            "retrace": retrace,
-        }
+        return out, pdf_nbytes(raw)
+
+    def _build_scan(self, rt: ChannelRt) -> Optional[Task]:
+        seq, n = rt.next_seq, len(rt.scan_batches)
+        if seq >= n:
+            return None
+        batch_idx = rt.scan_batches[seq]
+        out, bytes_in = self._scan(rt.spec, batch_idx)
+        return Task(
+            [(seq, out)],
+            [ScanLineage(batch_idx)],
+            bytes_in,
+            scan=True,
+            close=n if seq == n - 1 else None,
+        )
 
     def _gather(self, rt: ChannelRt, u: ChannelId, start: int, k: int):
         """Consume outputs [start, start+k) of ``u`` into the operator.
@@ -421,66 +471,30 @@ class Executor:
         rt.watermark[u] = start + k
         return out, bytes_in
 
-    def _build_retrace(self, rt: ChannelRt) -> Optional[dict]:
+    def _build_retrace(self, rt: ChannelRt) -> Optional[Task]:
+        """Re-execute the next logged record exactly — or, for a
+        monolithic (Spark-sim) channel, the whole rest of its log as one
+        task — once every input it names is present."""
         recs = rt.retrace_records
-        if rt.monolithic:
-            # Spark-sim granularity: the whole logged history is one task.
-            for i in range(rt.next_seq, rt.retrace):
-                rec = recs[i]
-                if isinstance(rec, ConsumeLineage):
-                    box = rt.inbox.get(rec.upstream, {})
-                    if any((rec.start + j) not in box for j in range(rec.count)):
-                        return None
-            outputs, records, bytes_in = [], [], 0
-            for i in range(rt.next_seq, rt.retrace):
-                rec = recs[i]
-                if isinstance(rec, ConsumeLineage):
-                    out, b = self._gather(rt, rec.upstream, rec.start, rec.count)
-                    bytes_in += b
-                elif isinstance(rec, FlushLineage):
-                    out = rt.op.flush()
-                    rt.flushed = True
-                else:  # pragma: no cover - scans never retrace via this path
-                    raise AssertionError(rec)
-                outputs.append((i, out))
-                records.append(rec)
-            return {
-                "type": "consume",
-                "outputs": outputs,
-                "records": records,
-                "bytes_in": bytes_in,
-                "scan": False,
-                "close": None,
-                "retrace": True,
-            }
-        rec = recs[rt.next_seq]
-        if isinstance(rec, ConsumeLineage):
-            box = rt.inbox.get(rec.upstream, {})
-            if any((rec.start + j) not in box for j in range(rec.count)):
-                return None
-            out, bytes_in = self._gather(rt, rec.upstream, rec.start, rec.count)
-            return {
-                "type": "consume",
-                "outputs": [(rt.next_seq, out)],
-                "records": [rec],
-                "bytes_in": bytes_in,
-                "scan": False,
-                "close": None,
-                "retrace": True,
-            }
-        if isinstance(rec, FlushLineage):
-            out = rt.op.flush()
-            rt.flushed = True
-            return {
-                "type": "flush",
-                "outputs": [(rt.next_seq, out)],
-                "records": [rec],
-                "bytes_in": 0,
-                "scan": False,
-                "close": None,
-                "retrace": True,
-            }
-        raise AssertionError(rec)  # pragma: no cover
+        end = len(recs) if rt.monolithic else rt.next_seq + 1
+        for rec in recs[rt.next_seq:end]:
+            if isinstance(rec, ConsumeLineage):
+                box = rt.inbox.get(rec.upstream, {})
+                if any((rec.start + j) not in box for j in range(rec.count)):
+                    return None
+        outputs, bytes_in = [], 0
+        for seq in range(rt.next_seq, end):
+            rec = recs[seq]
+            if isinstance(rec, ConsumeLineage):
+                out, b = self._gather(rt, rec.upstream, rec.start, rec.count)
+                bytes_in += b
+            elif isinstance(rec, FlushLineage):
+                out = rt.op.flush()
+                rt.flushed = True
+            else:  # pragma: no cover - scan channels are never rewound
+                raise AssertionError(rec)
+            outputs.append((seq, out))
+        return Task(outputs, recs[rt.next_seq:end], bytes_in, retrace=True)
 
     def _skip_empty(self, rt: ChannelRt) -> None:
         """Advance watermarks over empty-slice prefixes without a task.
@@ -504,7 +518,7 @@ class Executor:
             if moved:
                 rt.watermark[u] = w
 
-    def _build_streaming(self, rt: ChannelRt) -> Optional[dict]:
+    def _build_streaming(self, rt: ChannelRt) -> Optional[Task]:
         self._skip_empty(rt)
         best_u, best_avail = None, 0
         all_closed_and_drained = True
@@ -526,22 +540,18 @@ class Executor:
                 else:
                     take = 0
             else:
-                take = avail if (avail >= self.cfg.dynamic_min or drained_u) else 0
+                take = avail if (avail >= DYNAMIC_MIN or drained_u) else 0
             if take > best_avail:
                 best_u, best_avail = u, take
 
         if best_u is not None:
             start = rt.watermark.get(best_u, 0)
             out, bytes_in = self._gather(rt, best_u, start, best_avail)
-            return {
-                "type": "consume",
-                "outputs": [(rt.next_seq, out)],
-                "records": [ConsumeLineage(best_u, start, best_avail)],
-                "bytes_in": bytes_in,
-                "scan": False,
-                "close": None,
-                "retrace": False,
-            }
+            return Task(
+                [(rt.next_seq, out)],
+                [ConsumeLineage(best_u, start, best_avail)],
+                bytes_in,
+            )
 
         if all_closed_and_drained and not rt.flushed:
             # All upstream outputs consumed: emit the state variable.
@@ -552,53 +562,32 @@ class Executor:
             if drained:
                 out = rt.op.flush()
                 rt.flushed = True
-                return {
-                    "type": "flush",
-                    "outputs": [(rt.next_seq, out)],
-                    "records": [FlushLineage()],
-                    "bytes_in": 0,
-                    "scan": False,
-                    "close": rt.next_seq + 1,
-                    "retrace": False,
-                }
+                return Task(
+                    [(rt.next_seq, out)], [FlushLineage()], close=rt.next_seq + 1
+                )
         return None
 
     # ------------------------------------------------------------------ launch
 
-    def _slices_for(self, cid: ChannelId, out: Optional[pd.DataFrame]):
-        """Partition one output by the consumer stage's keys."""
-        sid = cid[0]
-        cons = self.plan.consumer_of(sid)
-        if cons is None:
-            return None, []
-        cstage, uidx = cons
-        keys = self.plan.stages[cstage].partition_keys[uidx]
-        n = self.widths[cstage]
-        if keys == "aligned":
-            assert n == self.widths[sid], "aligned stages must have equal width"
-            slices: list[Optional[pd.DataFrame]] = [None] * n
-            slices[cid[1]] = out if (out is not None and len(out)) else None
-            return cstage, slices
-        return cstage, partition(out, keys, n)
-
     def _deliveries_for(self, cid: ChannelId, seq: int, out):
-        """(dest, producer, seq, slice) tuples for one output. A fused
-        (aligned) producer delivers only to its twin channel."""
-        cstage, slices = self._slices_for(cid, out)
-        if cstage is None:
+        """(dest, producer, seq, slice) tuples for one output, partitioned
+        by the consumer stage's keys. A fused (aligned) producer delivers
+        its whole output only to its twin channel."""
+        cons = self.plan.consumer_of(cid[0])
+        if cons is None:
             return []
+        cstage, uidx = cons
         if self.fused_out[cid[0]]:
-            dest = (cstage, cid[1])
-            return [(dest, cid, seq, slices[cid[1]])]
-        return [
-            ((cstage, ch), cid, seq, sl) for ch, sl in enumerate(slices)
-        ]
+            sl = out if (out is not None and len(out)) else None
+            return [((cstage, cid[1]), cid, seq, sl)]
+        keys = self.plan.stages[cstage].partition_keys[uidx]
+        slices = partition(out, keys, self.widths[cstage])
+        return [((cstage, ch), cid, seq, sl) for ch, sl in enumerate(slices)]
 
-    def _launch(self, now: float, w: Worker, rt: ChannelRt, desc: dict) -> None:
+    def _launch(self, now: float, w: Worker, rt: ChannelRt, task: Task) -> None:
         cfg, cost = self.cfg, self.cost
         sid = rt.cid[0]
-        n_out = len(desc["outputs"])
-        rt.next_seq += n_out
+        rt.next_seq += len(task.outputs)
         rt.active = True
         w.free_slots -= 1
 
@@ -606,14 +595,13 @@ class Executor:
         bytes_out = 0
         remote_bytes = 0
         remote_slices = 0
-        retrace = desc["retrace"]
-        for seq, out in desc["outputs"]:
+        for seq, out in task.outputs:
             rows = len(out) if out is not None else 0
             rowb = row_nbytes(out) if rows else 0
             bytes_out += rowb * rows
             for dest, u, s, sl in self._deliveries_for(rt.cid, seq, out):
                 drt = self.channels[dest]
-                if retrace and drt.retrace == 0:
+                if task.retrace and not drt.retrace_records:
                     # A retracing producer consults the consumers'
                     # *committed* watermarks in the GCS and skips
                     # re-transmitting outputs they provably consumed.
@@ -628,15 +616,15 @@ class Executor:
         if not rt.started and cfg.exec_mode == "stagewise":
             t += cost.stage_sched_s
         rt.started = True
-        if desc["scan"]:
-            t += cost.scan_time(desc["bytes_in"])
+        if task.scan:
+            t += cost.scan_time(task.bytes_in)
         else:
-            t += cost.cpu_time(desc["bytes_in"], bytes_out)
-            if cfg.exec_mode == "stagewise" and desc["bytes_in"]:
+            t += cost.cpu_time(task.bytes_in, bytes_out)
+            if cfg.exec_mode == "stagewise" and task.bytes_in:
                 # Blocking engines materialise shuffle data: consumers
                 # re-read spilled partitions from disk (Spark's shuffle
                 # fetch); pipelined push engines hand batches RAM-to-RAM.
-                t = w.disk.reserve(t, cost.disk_time(desc["bytes_in"]))
+                t = w.disk.reserve(t, cost.disk_time(task.bytes_in))
         if remote_bytes or remote_slices:
             t = w.nic.reserve(
                 t, cost.net_time(remote_bytes) + cost.push_lat_s * remote_slices
@@ -653,18 +641,15 @@ class Executor:
             if not fused:
                 dur = sum(
                     cost.durable_time(pdf_nbytes(out), kind)
-                    for seq, out in desc["outputs"]
-                    if not (
-                        desc["retrace"]
-                        and (rt.cid[0], rt.cid[1], seq) in self.durable
-                    )
+                    for seq, out in task.outputs
+                    if not (task.retrace and (sid, rt.cid[1], seq) in self.durable)
                 )
             if dur:
                 t = w.nic.reserve(t, dur)
             t += cost.gcs_txn_s
         if ft == "checkpoint" and rt.op is not None:
-            last_seq = desc["outputs"][-1][0]
-            if (last_seq + 1) % cfg.ckpt_every == 0:
+            last_seq = task.outputs[-1][0]
+            if (last_seq + 1) % CKPT_EVERY == 0:
                 t = w.nic.reserve(t, cost.durable_time(rt.op.state_nbytes(), "s3"))
 
         eid = self._push(
@@ -674,9 +659,8 @@ class Executor:
                 "kind": "task",
                 "worker": w.wid,
                 "cid": rt.cid,
-                "desc": desc,
+                "task": task,
                 "deliveries": deliveries,
-                "bytes_out": bytes_out,
             },
         )
         self._active_eids[w.wid].add(eid)
@@ -690,13 +674,14 @@ class Executor:
             _, source, dest = item
             owner_loc = self.store.location(source)
             if owner_loc == DURABLE:
-                full = self.durable.get(source)
+                full = self.durable[source]
             else:
                 # The planner only schedules replays whose backup location
                 # is a live worker; a missing key here is a protocol bug.
                 full = w.backups[source]
-            cstage, slices = self._slices_for((source[0], source[1]), full)
-            sl = slices[dest[1]] if slices else None
+            cstage, uidx = self.plan.consumer_of(source[0])
+            keys = self.plan.stages[cstage].partition_keys[uidx]
+            sl = partition(full, keys, self.widths[cstage])[dest[1]]
             # Upstream backups are stored pre-partitioned (as Spark's map
             # outputs are), so a replay reads and ships only the slice
             # the rewound consumer needs.
@@ -719,13 +704,8 @@ class Executor:
             }
         elif kind == "rescan":
             _, name, batch_idx = item
-            cid = (name[0], name[1])
-            spec = self.plan.stages[name[0]]
-            raw = self.tables[spec.table][batch_idx]
-            out = spec.map_fn(raw) if spec.map_fn else raw
-            if out is not None and len(out) == 0:
-                out = None
-            t = now + cost.task_overhead_s + cost.scan_time(pdf_nbytes(raw))
+            out, bytes_in = self._scan(self.plan.stages[name[0]], batch_idx)
+            t = now + cost.task_overhead_s + cost.scan_time(bytes_in)
             if (
                 self.cfg.ft_mode in ("wal", "checkpoint")
                 and out is not None
@@ -771,33 +751,36 @@ class Executor:
         else:
             touched.add(wid)
             self._schedule_pass(now, touched)
+    def _persist(self, wid: int, name: TaskName, out) -> Optional[int | str]:
+        """Back up (``wal``/``checkpoint``) or spool one output and return
+        its location; None when ``ft_mode`` is ``none``."""
+        if self.fused_out[name[0]]:
+            return "fused"  # intra-channel pipe: nothing persisted
+        ft = self.cfg.ft_mode
+        if ft in ("wal", "checkpoint"):
+            self.workers[wid].backup(name, out)
+            return wid
+        if ft in ("spool_s3", "spool_hdfs"):
+            if name not in self.durable:
+                self.durable[name] = out
+                self.stats["spooled_bytes"] += pdf_nbytes(out)
+            return DURABLE
+        return None
 
     def _apply_done(self, now: float, eid: int, p: dict) -> None:
         wid = p["worker"]
         touched: set[int] = set()
         if p["kind"] == "task":
             rt = self.channels[p["cid"]]
-            desc = p["desc"]
-            w = self.workers[wid]
-            ft = self.cfg.ft_mode
+            task: Task = p["task"]
+            last_seq = task.outputs[-1][0]
             # Backup / spool, then commit, then deliver: consumers only ever
             # see outputs whose lineage is committed (the core invariant).
-            fused = self.fused_out[rt.cid[0]]
-            for (seq, out), rec in zip(desc["outputs"], desc["records"]):
+            for (seq, out), rec in zip(task.outputs, task.records):
                 name: TaskName = (rt.cid[0], rt.cid[1], seq)
-                loc: Optional[int | str] = None
-                if fused:
-                    loc = "fused"  # intra-channel pipe: nothing persisted
-                elif ft in ("wal", "checkpoint"):
-                    w.backup(name, out)
-                    loc = wid
-                elif ft in ("spool_s3", "spool_hdfs"):
-                    if name not in self.durable:
-                        self.durable.put(name, out, pdf_nbytes(out))
-                        self.stats["spooled_bytes"] += pdf_nbytes(out)
-                    loc = DURABLE
-                if not desc["retrace"]:
-                    close = desc["close"] if seq == desc["outputs"][-1][0] else None
+                loc = self._persist(wid, name, out)
+                if not task.retrace:
+                    close = task.close if seq == last_seq else None
                     self.store.commit_task(
                         rt.cid, seq, rec, loc if loc is not None else "none", close
                     )
@@ -807,24 +790,23 @@ class Executor:
                 self._deliver(dest, u, seq, sl)
                 touched.add(self.channels[dest].worker)
             if rt.cid[0] == self.plan.final_stage:
-                for seq, out in desc["outputs"]:
+                for seq, out in task.outputs:
                     self.client.setdefault((rt.cid, seq), out)
             rt.active = False
             rt.exec_count += 1
             self.stats["n_tasks"] += 1
-            if desc["close"] is not None and self.cfg.exec_mode == "stagewise":
+            if task.close is not None and self.cfg.exec_mode == "stagewise":
                 # A channel closing can flip a whole stage to ready; wake
                 # every worker (stage-readiness is global state).
                 touched.update(w2.wid for w2 in self.workers if w2.alive)
-            if desc["retrace"] and rt.next_seq >= rt.retrace:
-                rt.retrace = 0
+            if task.retrace and rt.next_seq >= len(rt.retrace_records):
                 rt.retrace_records = []
                 rt.monolithic = False
-            if desc["close"] is not None or (
+            if task.close is not None or (
                 self.store.closed_total(rt.cid) is not None
                 and rt.next_seq >= self.store.lineage_len(rt.cid)
             ):
-                if not desc["retrace"] or rt.retrace == 0:
+                if not task.retrace or not rt.retrace_records:
                     rt.done = True
         elif p["kind"] == "replay":
             self.stats["n_replays"] += 1
@@ -834,11 +816,9 @@ class Executor:
             self.stats["n_rescans"] += 1
             name, out = p["name"], p["out"]
             cid = (name[0], name[1])
-            if (
-                self.cfg.ft_mode in ("wal", "checkpoint")
-                and not self.fused_out[name[0]]
-            ):
-                self.workers[wid].backup(name, out)
+            # Only a fresh local backup moves the output's location; a
+            # fused output's stays "fused".
+            if self._persist(wid, name, out) == wid:
                 self.store.set_location(name, wid)
             for dest, u, s, sl in self._deliveries_for(cid, name[2], out):
                 self._deliver(dest, u, s, sl)
@@ -896,21 +876,18 @@ class Executor:
         extra_dests = frozenset(
             cid
             for cid, rt in self.channels.items()
-            if rt.retrace
-            and rt.next_seq < rt.retrace
+            if rt.next_seq < len(rt.retrace_records)
             and self.workers[rt.worker].alive
         )
         rplan = plan_recovery(
             self.store,
-            stage_upstreams=self.plan.stage_upstreams(),
-            stage_channels={s: self.widths[s] for s in range(len(self.plan.stages))},
+            upstream_channels={
+                cid: rt.upstream_cids for cid, rt in self.channels.items()
+            },
             input_stages=self.plan.input_stages(),
             dead_workers=self.dead,
             live_workers=live,
             extra_dests=extra_dests,
-            upstream_channels={
-                cid: rt.upstream_cids for cid, rt in self.channels.items()
-            },
         )
         self.stats["rewound"].append(list(rplan.rewound))
 
@@ -919,7 +896,6 @@ class Executor:
             self._rehome(cid, rplan.new_assignments[cid])
             rt.op = self.plan.stages[cid[0]].make_op()
             rt.next_seq = 0
-            rt.retrace = self.store.lineage_len(cid)
             rt.retrace_records = self.store.lineage(cid)
             rt.monolithic = self.cfg.recovery_mode == "data_parallel"
             rt.watermark = {}
@@ -933,8 +909,6 @@ class Executor:
             # Committed scans are re-run data-parallel (rescans); the
             # channel itself resumes at its next un-scanned batch.
             rt.next_seq = self.store.lineage_len(cid)
-            rt.retrace = 0
-            rt.retrace_records = []
             rt.active = False
             rt.done = (
                 self.store.closed_total(cid) is not None

@@ -97,6 +97,3 @@ class Plan:
 
     def tables(self) -> set[str]:
         return {s.table for s in self.stages if isinstance(s, ScanStage)}
-
-    def stage_upstreams(self) -> dict[int, list[int]]:
-        return {i: list(s.upstreams) for i, s in enumerate(self.stages)}

@@ -60,7 +60,6 @@ class System:
         )
         return ExecConfig(
             n_workers=n_workers,
-            slots_per_worker=2,
             exec_mode=self.exec_mode,
             dep_mode=self.dep_mode,
             static_batch=self.static_batch,

@@ -7,6 +7,7 @@ FT modes, and cluster widths.
 import pytest
 
 from repro import oracle
+from repro.engine.executor import ExecConfig, Executor, Failure
 from repro.queries.tpch import QUERIES, REPRESENTATIVE
 
 
@@ -102,3 +103,26 @@ def test_lineage_is_kb_sized(runner):
         pdf_nbytes(b) for t in plan.tables() for b in runner.tables[t]
     )
     assert lineage_bytes < data_bytes / 50
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"ft_mode": "WAL"},
+        {"exec_mode": "pipeline"},
+        {"dep_mode": "Dynamic"},
+        {"recovery_mode": "spark"},
+        {"dep_mode": "static", "static_batch": 0},
+        {"n_workers": 0},
+    ],
+)
+def test_config_rejects_unknown_modes_and_bad_sizes(kw):
+    with pytest.raises(ValueError):
+        ExecConfig(**kw)
+
+
+@pytest.mark.parametrize("wid", [-1, 4])
+def test_run_rejects_failure_of_unknown_worker(db, tables, wid):
+    ex = Executor(QUERIES["q6"].plan(db), tables, ExecConfig(n_workers=4))
+    with pytest.raises(ValueError, match="worker"):
+        ex.run([Failure(wid, 0.1)])

@@ -25,7 +25,6 @@ def test_valid_plan_topology():
     assert p.consumer_of(3) is None
     assert p.input_stages() == {0, 1}
     assert p.tables() == {"a", "b"}
-    assert p.stage_upstreams() == {0: [], 1: [], 2: [0, 1], 3: [2]}
 
 
 def test_upstream_must_be_earlier():

@@ -24,9 +24,21 @@ def _pipeline_store(*, scan_worker=None):
     return st
 
 
+def _chain(n_stages):
+    """Wiring of a one-channel-per-stage chain 0 -> 1 -> ... -> n-1."""
+    wiring = {(0, 0): []}
+    for stage in range(1, n_stages):
+        wiring[(stage, 0)] = [(stage - 1, 0)]
+    return wiring
+
+
 TOPO = dict(
-    stage_upstreams={0: [], 1: [0]},
-    stage_channels={0: 2, 1: 2},
+    upstream_channels={
+        (0, 0): [],
+        (0, 1): [],
+        (1, 0): [(0, 0), (0, 1)],
+        (1, 1): [(0, 0), (0, 1)],
+    },
     input_stages={0},
 )
 
@@ -78,8 +90,7 @@ def test_pipelined_parallel_placement():
     st.commit_task((0, 0), 0, ScanLineage(0), 0, close_total=1)
     plan = plan_recovery(
         st,
-        stage_upstreams={0: [], 1: [0], 2: [1], 3: [2]},
-        stage_channels={0: 1, 1: 1, 2: 1, 3: 1},
+        upstream_channels=_chain(4),
         input_stages={0},
         dead_workers={5},
         live_workers=[0, 1, 2],
@@ -104,8 +115,7 @@ def test_transitive_rewind_when_backup_lost():
     st.prune_locations({1, 2})
     plan = plan_recovery(
         st,
-        stage_upstreams={0: [], 1: [0], 2: [1]},
-        stage_channels={0: 1, 1: 1, 2: 1},
+        upstream_channels=_chain(3),
         input_stages={0},
         dead_workers={1, 2},
         live_workers=[0],
