@@ -70,13 +70,30 @@ class Gcs:
 
         The op list is validated up front; an invalid op raises
         :class:`TransactionError` and nothing is applied or journaled.
+        Invalid means malformed, or an append to a key that holds a
+        non-list value once the earlier ops of the transaction apply.
         """
         ops = [list(op) for op in ops]
+        # Each key's value as the earlier ops leave it; a deleted key is
+        # absent, so an append may start a list there, as it does below.
+        written: dict[tuple[str, str], Any] = {}
         for op in ops:
             if op[0] not in ("set", "append", "del") or len(op) != (
                 3 if op[0] == "del" else 4
             ):
                 raise TransactionError(f"malformed op: {op!r}")
+            key = (op[1], op[2])
+            if op[0] == "set":
+                written[key] = op[3]
+            elif op[0] == "del":
+                written[key] = []
+            else:
+                cur = written.get(key, self._tables.get(op[1], {}).get(op[2], []))
+                if not isinstance(cur, list):
+                    raise TransactionError(
+                        f"append to non-list {op[1]}/{op[2]}={cur!r}: {op!r}"
+                    )
+                written[key] = cur
         # Write-ahead: journal before apply.
         if self._fh is not None:
             self._fh.write(json.dumps(ops) + "\n")

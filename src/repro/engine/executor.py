@@ -68,7 +68,7 @@ from .operators import Operator
 from .partition import partition
 from .plan import OpStage, Plan, ScanStage
 from .simtime import CostModel
-from .util import concat_batches, pdf_nbytes, row_nbytes
+from .util import Batch, columnar, concat_batches, pdf_nbytes, row_nbytes
 
 #: Task slots per worker (TaskManager threads of one r6id instance).
 SLOTS_PER_WORKER = 2
@@ -171,7 +171,8 @@ class ChannelRt:
         self.retrace_records: list[LineageRecord] = []
         self.monolithic = False
         self.watermark: dict[ChannelId, int] = {}
-        self.inbox: dict[ChannelId, dict[int, Optional[pd.DataFrame]]] = {}
+        #: pushed inputs: slices, or whole frames over a fused edge
+        self.inbox: dict[ChannelId, dict[int, Optional[Batch]]] = {}
         self.flushed = False
         self.active = False
         self.started = False
@@ -448,7 +449,8 @@ class Executor:
             close=n if seq == n - 1 else None,
         )
 
-    def _gather(self, rt: ChannelRt, u: ChannelId, start: int, k: int):
+    @staticmethod
+    def _gather(rt: ChannelRt, u: ChannelId, start: int, k: int):
         """Consume outputs [start, start+k) of ``u`` into the operator.
 
         The k batches are concatenated into one kernel call: since a task
@@ -459,10 +461,16 @@ class Executor:
         """
         uidx = rt.uidx[u]
         box = rt.inbox.get(u, {})
-        merged = concat_batches([box.pop(s) for s in range(start, start + k)])
-        # The k morsels share one schema, so sizing the concatenation is
-        # one dtype walk and equals the sum of their sizes.
-        bytes_in = pdf_nbytes(merged)
+        parts = [box.pop(s) for s in range(start, start + k)]
+        parts = [b for b in parts if b is not None]
+        merged = concat_batches(parts)
+        # Slices of one schema concatenate into that schema, so the input
+        # is the sum of their sizes; frames from a fused edge, or slices
+        # whose schemas differ and were promoted, size the merged frame.
+        if parts and columnar(parts):
+            bytes_in = sum(p.nbytes for p in parts)
+        else:
+            bytes_in = pdf_nbytes(merged)
         out = None
         if merged is not None:
             out = rt.op.on_batch(uidx, merged)
@@ -682,19 +690,18 @@ class Executor:
             cstage, uidx = self.plan.consumer_of(source[0])
             keys = self.plan.stages[cstage].partition_keys[uidx]
             sl = partition(full, keys, self.widths[cstage])[dest[1]]
+            nbytes = sl.nbytes if sl is not None else 0
             # Upstream backups are stored pre-partitioned (as Spark's map
             # outputs are), so a replay reads and ships only the slice
             # the rewound consumer needs.
             t = now + cost.task_overhead_s
             if owner_loc == DURABLE:
-                t = w.nic.reserve(
-                    t, cost.s3_lat_s + cost.net_time(pdf_nbytes(sl))
-                )
+                t = w.nic.reserve(t, cost.s3_lat_s + cost.net_time(nbytes))
             else:
-                t = w.disk.reserve(t, cost.disk_time(pdf_nbytes(sl)))
+                t = w.disk.reserve(t, cost.disk_time(nbytes))
                 dw = self.channels[dest].worker
                 if dw != w.wid and sl is not None:
-                    t = w.nic.reserve(t, cost.net_time(pdf_nbytes(sl)) + cost.push_lat_s)
+                    t = w.nic.reserve(t, cost.net_time(nbytes) + cost.push_lat_s)
             payload = {
                 "kind": "replay",
                 "worker": w.wid,

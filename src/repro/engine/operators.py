@@ -21,7 +21,7 @@ import numpy as np
 import pandas as pd
 
 from .partition import key_hash
-from .util import pdf_nbytes, row_nbytes
+from .util import dtype_width, pdf_nbytes
 
 MapFn = Callable[[pd.DataFrame], pd.DataFrame]
 
@@ -71,8 +71,11 @@ class _JoinSide:
             cap = max(end, 2 * cap)
             self._hash = _grown(self._hash, self.n, cap, np.uint64)
         self._hash[self.n:end] = h
+        width = 0
         for c in pdf.columns:
-            vals = pdf[c].to_numpy()
+            col = pdf[c]
+            vals = col.to_numpy()
+            width += dtype_width(col.dtype)
             buf = self._cols.get(c, vals[:0])
             # A batch whose column is wider than the buffer (float into
             # int, say) widens the buffer as pd.concat would.
@@ -81,7 +84,7 @@ class _JoinSide:
                 buf = self._cols[c] = _grown(buf, self.n, cap, dtype)
             buf[self.n:end] = vals
         self.n = end
-        self._nbytes += row_nbytes(pdf) * len(pdf)
+        self._nbytes += width * len(pdf)
 
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted (hash, position) index over all rows appended."""

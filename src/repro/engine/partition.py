@@ -15,6 +15,8 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 
+from .util import Slice, dtype_width
+
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -62,31 +64,40 @@ def hash_indices(pdf: pd.DataFrame, cols: list[str], n: int) -> np.ndarray:
 
 def partition(
     pdf: Optional[pd.DataFrame], cols: list[str], n: int
-) -> list[Optional[pd.DataFrame]]:
+) -> list[Optional[Slice]]:
     """Split a batch into ``n`` slices by hash of ``cols``.
 
-    An empty ``cols`` gathers everything to channel 0 (global aggregation
-    / top-k stages have a single channel). Empty slices are ``None`` —
-    the engine's empty-output sentinel — so downstream cost accounting
-    and inbox bookkeeping stay uniform.
+    A slice holds its rows column by column (see
+    :class:`~repro.engine.util.Slice`) and becomes a frame only when a
+    consumer gathers it. An empty ``cols`` sends everything to channel 0
+    (global aggregation / top-k stages have a single channel) as a slice
+    wrapping the batch itself. Empty slices are ``None`` — the engine's
+    empty-output sentinel — so downstream cost accounting and inbox
+    bookkeeping stay uniform.
     """
+    out: list[Optional[Slice]] = [None] * n
     if pdf is None or len(pdf) == 0:
-        return [None] * n
+        return out
+    names = list(pdf.columns)
+    arrays = []
+    width = 0
+    for c in names:
+        s = pdf[c]
+        arrays.append(s.to_numpy() if isinstance(s.dtype, np.dtype) else s.array)
+        width += dtype_width(s.dtype)
     if n == 1 or not cols:
-        out: list[Optional[pd.DataFrame]] = [None] * n
-        out[0] = pdf
+        out[0] = Slice(names, arrays, len(pdf), width, pdf)
         return out
     idx = hash_indices(pdf, cols, n)
-    # One stable argsort, one gather, then n contiguous slices; stability
-    # preserves within-slice row order, keeping slices replay-identical.
+    # One stable argsort, then every slice gathers its rows of each
+    # column; stability preserves within-slice row order, keeping slices
+    # replay-identical. A slice owns its arrays, positions included, so
+    # one still waiting in an inbox pins nothing of the other slices.
     order = np.argsort(idx, kind="stable")
-    bounds = np.searchsorted(idx[order], np.arange(n + 1))
-    taken = pdf.take(order)
-    out: list[Optional[pd.DataFrame]] = []
+    bounds = np.searchsorted(idx[order], np.arange(n + 1)).tolist()
     for i in range(n):
         a, b = bounds[i], bounds[i + 1]
-        if a == b:
-            out.append(None)
-        else:
-            out.append(taken.iloc[a:b].reset_index(drop=True))
+        if a < b:
+            pos = order[a:b].copy()
+            out[i] = Slice(names, [col[pos] for col in arrays], b - a, width, pdf, pos)
     return out

@@ -96,3 +96,21 @@ def test_keys_listing():
     g.set("ns", "b", 2)
     assert sorted(g.keys("ns")) == ["a", "b"]
     assert g.keys("empty") == []
+
+
+def test_append_to_non_list_rejected_entirely(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    g = Gcs(str(path))
+    g.set("a", "k", 1)
+    before = (g.table("a"), g.journal, g.txn_count, path.read_text())
+    with pytest.raises(TransactionError):
+        g.transaction([["set", "a", "j", 5], ["append", "a", "k", 2]])
+    # an earlier op of the same transaction decides the target too
+    with pytest.raises(TransactionError):
+        g.transaction([["append", "a", "m", 1], ["set", "a", "m", 3],
+                       ["append", "a", "m", 4]])
+    assert (g.table("a"), g.journal, g.txn_count, path.read_text()) == before
+    g.transaction([["del", "a", "k"], ["append", "a", "k", 2],
+                   ["set", "a", "n", [1]], ["append", "a", "n", 2]])
+    assert g.get("a", "k") == [2] and g.get("a", "n") == [1, 2]
+    g.close()

@@ -6,6 +6,11 @@ import pytest
 from repro.engine.partition import hash_indices, partition
 
 
+def frames(slices):
+    """Each slice materialised as the frame a consumer would see."""
+    return [None if s is None else s.to_frame() for s in slices]
+
+
 @pytest.fixture()
 def pdf():
     g = np.random.default_rng(0)
@@ -21,7 +26,7 @@ def pdf():
 
 
 def test_partition_is_complete_and_disjoint(pdf):
-    slices = partition(pdf, ["k"], 8)
+    slices = frames(partition(pdf, ["k"], 8))
     total = sum(len(s) for s in slices if s is not None)
     assert total == len(pdf)
     recon = pd.concat([s for s in slices if s is not None])
@@ -29,7 +34,7 @@ def test_partition_is_complete_and_disjoint(pdf):
 
 
 def test_same_key_same_slice(pdf):
-    slices = partition(pdf, ["k"], 8)
+    slices = frames(partition(pdf, ["k"], 8))
     seen = {}
     for i, s in enumerate(slices):
         if s is None:
@@ -39,8 +44,8 @@ def test_same_key_same_slice(pdf):
 
 
 def test_deterministic_across_calls(pdf):
-    a = partition(pdf, ["k", "s"], 16)
-    b = partition(pdf, ["k", "s"], 16)
+    a = frames(partition(pdf, ["k", "s"], 16))
+    b = frames(partition(pdf, ["k", "s"], 16))
     for x, y in zip(a, b):
         if x is None:
             assert y is None
@@ -51,7 +56,7 @@ def test_deterministic_across_calls(pdf):
 def test_within_slice_row_order_preserved(pdf):
     """Replay-identical slices require stable within-slice ordering."""
     idx = hash_indices(pdf, ["k"], 4)
-    slices = partition(pdf, ["k"], 4)
+    slices = frames(partition(pdf, ["k"], 4))
     for i, s in enumerate(slices):
         expected = pdf[idx == i].reset_index(drop=True)
         pd.testing.assert_frame_equal(s, expected)
@@ -64,7 +69,7 @@ def test_hash_supports_dtypes(pdf, cols):
 
 
 def test_reasonable_balance(pdf):
-    slices = partition(pdf, ["k"], 8)
+    slices = frames(partition(pdf, ["k"], 8))
     sizes = [len(s) for s in slices]
     assert min(sizes) > 0.5 * np.mean(sizes)
 
@@ -77,19 +82,19 @@ def test_empty_and_none_inputs():
 
 def test_gather_mode():
     pdf = pd.DataFrame({"k": [1, 2, 3]})
-    slices = partition(pdf, [], 4)
+    slices = frames(partition(pdf, [], 4))
     assert len(slices[0]) == 3
     assert slices[1] is None and slices[3] is None
 
 
 def test_single_channel():
     pdf = pd.DataFrame({"k": [1, 2, 3]})
-    slices = partition(pdf, ["k"], 1)
+    slices = frames(partition(pdf, ["k"], 1))
     assert len(slices) == 1 and len(slices[0]) == 3
 
 
 def test_empty_slices_are_none(pdf):
-    # 5000 rows over 4096 channels: some channels must be empty
-    slices = partition(pdf.head(10), ["k"], 64)
+    # 10 rows over 64 channels: some channels must be empty
+    slices = frames(partition(pdf.head(10), ["k"], 64))
     assert any(s is None for s in slices)
     assert sum(len(s) for s in slices if s is not None) == 10
