@@ -68,18 +68,23 @@ class Gcs:
             ["append", ns, key, value]   # value appended to a list
             ["del",    ns, key]
 
-        The op list is validated up front; an invalid op raises
-        :class:`TransactionError` and nothing is applied or journaled.
-        Invalid means malformed, or an append to a key that holds a
-        non-list value once the earlier ops of the transaction apply.
+        The transaction is validated and serialised up front; an invalid
+        one raises :class:`TransactionError` and nothing is applied or
+        journaled. Invalid means a malformed op (namespaces and keys are
+        strings), a value that is not JSON-serialisable, or an append to a
+        key that holds a non-list value once the earlier ops of the
+        transaction apply.
         """
         ops = [list(op) for op in ops]
         # Each key's value as the earlier ops leave it; a deleted key is
         # absent, so an append may start a list there, as it does below.
         written: dict[tuple[str, str], Any] = {}
         for op in ops:
-            if op[0] not in ("set", "append", "del") or len(op) != (
-                3 if op[0] == "del" else 4
+            if (
+                not op
+                or op[0] not in ("set", "append", "del")
+                or len(op) != (3 if op[0] == "del" else 4)
+                or not (isinstance(op[1], str) and isinstance(op[2], str))
             ):
                 raise TransactionError(f"malformed op: {op!r}")
             key = (op[1], op[2])
@@ -94,9 +99,13 @@ class Gcs:
                         f"append to non-list {op[1]}/{op[2]}={cur!r}: {op!r}"
                     )
                 written[key] = cur
+        try:
+            line = json.dumps(ops)
+        except (TypeError, ValueError) as e:
+            raise TransactionError(f"value not JSON-serialisable: {e}") from e
         # Write-ahead: journal before apply.
         if self._fh is not None:
-            self._fh.write(json.dumps(ops) + "\n")
+            self._fh.write(line + "\n")
             self._fh.flush()
         self._journal.append(ops)
         self.txn_count += 1

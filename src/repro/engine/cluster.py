@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-import pandas as pd
-
 from ..core.naming import TaskName
 from .simtime import Timeline
+from .util import Batch
 
 
 class Worker:
@@ -27,10 +26,10 @@ class Worker:
         self.nic = Timeline()
         self.disk = Timeline()
         #: upstream backup: full task outputs on instance-attached NVMe.
-        self.backups: dict[TaskName, Optional[pd.DataFrame]] = {}
+        self.backups: dict[TaskName, Optional[Batch]] = {}
 
-    def backup(self, name: TaskName, pdf: Optional[pd.DataFrame]) -> None:
-        self.backups[name] = pdf
+    def backup(self, name: TaskName, out: Optional[Batch]) -> None:
+        self.backups[name] = out
 
     def kill(self) -> None:
         """Spot pre-emption: lose RAM, local disk, and all task slots."""

@@ -68,7 +68,7 @@ from .operators import Operator
 from .partition import partition
 from .plan import OpStage, Plan, ScanStage
 from .simtime import CostModel
-from .util import Batch, columnar, concat_batches, pdf_nbytes, row_nbytes
+from .util import Batch, ColumnBatch, as_frame, concat_batches, pdf_nbytes, row_nbytes
 
 #: Task slots per worker (TaskManager threads of one r6id instance).
 SLOTS_PER_WORKER = 2
@@ -125,7 +125,7 @@ class Task:
     ``retrace`` marks a re-execution of already-committed lineage.
     """
 
-    outputs: list[tuple[int, Optional[pd.DataFrame]]]
+    outputs: list[tuple[int, Optional[Batch]]]
     records: list[LineageRecord]
     bytes_in: int = 0
     scan: bool = False
@@ -171,7 +171,7 @@ class ChannelRt:
         self.retrace_records: list[LineageRecord] = []
         self.monolithic = False
         self.watermark: dict[ChannelId, int] = {}
-        #: pushed inputs: slices, or whole frames over a fused edge
+        #: pushed inputs: slices, or whole outputs over a fused edge
         self.inbox: dict[ChannelId, dict[int, Optional[Batch]]] = {}
         self.flushed = False
         self.active = False
@@ -203,7 +203,7 @@ class Executor:
         self.cost = cfg.cost
         self.store = store or LineageStore(Gcs(cfg.journal_path))
         #: S3/HDFS-sim spooling target: survives any worker failure.
-        self.durable: dict[TaskName, Optional[pd.DataFrame]] = {}
+        self.durable: dict[TaskName, Optional[Batch]] = {}
         self.workers = [Worker(i, SLOTS_PER_WORKER) for i in range(cfg.n_workers)]
         self._ran = False
 
@@ -281,7 +281,7 @@ class Executor:
         self.pending_recover = False
         self.dead: set[int] = set()
         self.special: dict[int, deque] = {w.wid: deque() for w in self.workers}
-        self.client: dict[tuple[ChannelId, int], Optional[pd.DataFrame]] = {}
+        self.client: dict[tuple[ChannelId, int], Optional[Batch]] = {}
         #: committed watermark snapshot taken at each recovery, used by
         #: retracing producers to suppress provably-redundant re-pushes.
         self._wm_snap: dict[ChannelId, dict[ChannelId, int]] = {}
@@ -349,9 +349,8 @@ class Executor:
                 f"(of {len(not_done)}); paused={self.paused}"
             )
         frames = [self.client[k] for k in sorted(self.client, key=lambda k: (k[0], k[1]))]
-        df = concat_batches(frames)
-        if df is None:
-            df = pd.DataFrame()
+        merged = concat_batches(frames)
+        df = pd.DataFrame() if merged is None else as_frame(merged)
         self.stats["exec_count"] = {
             cid: rt.exec_count for cid, rt in self.channels.items()
         }
@@ -450,25 +449,30 @@ class Executor:
         )
 
     @staticmethod
-    def _gather(rt: ChannelRt, u: ChannelId, start: int, k: int):
+    def _gather(store: LineageStore, rt: ChannelRt, u: ChannelId, start: int, k: int):
         """Consume outputs [start, start+k) of ``u`` into the operator.
 
+        Algorithm 1: a task consumes only outputs whose lineage is
+        committed; lineage commits in order, so the last output decides.
         The k batches are concatenated into one kernel call: since a task
         consumes from a single upstream channel, the operator state other
         batches probe against is unchanged within the task, so this is
         output-equivalent to per-batch calls (and is how a real engine
         would hand a morsel set to DuckDB/Polars).
         """
+        if not store.is_committed(u, start + k - 1):
+            raise RuntimeError(
+                f"channel {rt.cid} would consume outputs {start}..{start + k - 1} "
+                f"of {u}, whose lineage is not all committed"
+            )
         uidx = rt.uidx[u]
         box = rt.inbox.get(u, {})
         parts = [box.pop(s) for s in range(start, start + k)]
-        parts = [b for b in parts if b is not None]
         merged = concat_batches(parts)
-        # Slices of one schema concatenate into that schema, so the input
-        # is the sum of their sizes; frames from a fused edge, or slices
-        # whose schemas differ and were promoted, size the merged frame.
-        if parts and columnar(parts):
-            bytes_in = sum(p.nbytes for p in parts)
+        # A column batch carries its row width; a frame (from a fused
+        # edge, or slices whose schemas differ and were promoted) is sized.
+        if isinstance(merged, ColumnBatch):
+            bytes_in = merged.nbytes
         else:
             bytes_in = pdf_nbytes(merged)
         out = None
@@ -494,7 +498,7 @@ class Executor:
         for seq in range(rt.next_seq, end):
             rec = recs[seq]
             if isinstance(rec, ConsumeLineage):
-                out, b = self._gather(rt, rec.upstream, rec.start, rec.count)
+                out, b = self._gather(self.store, rt, rec.upstream, rec.start, rec.count)
                 bytes_in += b
             elif isinstance(rec, FlushLineage):
                 out = rt.op.flush()
@@ -531,10 +535,7 @@ class Executor:
         best_u, best_avail = None, 0
         all_closed_and_drained = True
         for u in rt.upstream_cids:
-            # Algorithm 1: only inputs with committed lineage are eligible.
             avail = rt.avail(u)
-            if avail:
-                assert self.store.is_committed(u, rt.watermark.get(u, 0))
             closed = self.store.closed_total(u)
             if closed is None or rt.watermark.get(u, 0) + avail < closed:
                 all_closed_and_drained = False
@@ -554,7 +555,7 @@ class Executor:
 
         if best_u is not None:
             start = rt.watermark.get(best_u, 0)
-            out, bytes_in = self._gather(rt, best_u, start, best_avail)
+            out, bytes_in = self._gather(self.store, rt, best_u, start, best_avail)
             return Task(
                 [(rt.next_seq, out)],
                 [ConsumeLineage(best_u, start, best_avail)],
@@ -758,6 +759,7 @@ class Executor:
         else:
             touched.add(wid)
             self._schedule_pass(now, touched)
+
     def _persist(self, wid: int, name: TaskName, out) -> Optional[int | str]:
         """Back up (``wal``/``checkpoint``) or spool one output and return
         its location; None when ``ft_mode`` is ``none``."""

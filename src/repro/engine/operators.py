@@ -21,7 +21,7 @@ import numpy as np
 import pandas as pd
 
 from .partition import key_hash
-from .util import dtype_width, pdf_nbytes
+from .util import Batch, ColumnBatch, as_columns, as_frame, pdf_nbytes
 
 MapFn = Callable[[pd.DataFrame], pd.DataFrame]
 
@@ -30,8 +30,16 @@ class Operator(ABC):
     """One channel's kernel + state variable."""
 
     @abstractmethod
-    def on_batch(self, upstream_idx: int, pdf: pd.DataFrame) -> Optional[pd.DataFrame]:
-        """Absorb one upstream output batch; return emitted rows or None."""
+    def on_batch(self, upstream_idx: int, batch: Batch) -> Optional[Batch]:
+        """Absorb one upstream output batch; return emitted rows or None.
+
+        ``batch`` is a frame (a scan's output over a fused edge, say) or a
+        :class:`~repro.engine.util.ColumnBatch` (a gather of shuffle
+        slices). An operator that runs pandas code builds its frame with
+        :func:`~repro.engine.util.as_frame`; one that works on arrays
+        reads them with :func:`~repro.engine.util.as_columns`. It may
+        emit either kind.
+        """
 
     def flush(self) -> Optional[pd.DataFrame]:
         """Final emission after all upstreams closed; None if nothing."""
@@ -63,19 +71,16 @@ class _JoinSide:
         self._idx_pos = np.empty(0, dtype=np.int64)
         self._nbytes = 0
 
-    def append(self, pdf: pd.DataFrame, h: np.ndarray) -> None:
-        """Add ``pdf``'s rows, whose key hashes are ``h``."""
-        end = self.n + len(pdf)
+    def append(self, cols: dict[str, np.ndarray], width: int, h: np.ndarray) -> None:
+        """Add rows given as ``{column: values}``, ``width`` bytes each,
+        whose key hashes are ``h``."""
+        end = self.n + len(h)
         cap = len(self._hash)
         if end > cap:
             cap = max(end, 2 * cap)
             self._hash = _grown(self._hash, self.n, cap, np.uint64)
         self._hash[self.n:end] = h
-        width = 0
-        for c in pdf.columns:
-            col = pdf[c]
-            vals = col.to_numpy()
-            width += dtype_width(col.dtype)
+        for c, vals in cols.items():
             buf = self._cols.get(c, vals[:0])
             # A batch whose column is wider than the buffer (float into
             # int, say) widens the buffer as pd.concat would.
@@ -84,7 +89,7 @@ class _JoinSide:
                 buf = self._cols[c] = _grown(buf, self.n, cap, dtype)
             buf[self.n:end] = vals
         self.n = end
-        self._nbytes += width * len(pdf)
+        self._nbytes += width * len(h)
 
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted (hash, position) index over all rows appended."""
@@ -153,8 +158,11 @@ class SymmetricHashJoin(Operator):
     deterministic function of the consumption sequence, so replays stay
     byte-identical.
 
-    ``post`` is an optional fused stateless map/filter over emitted rows.
-    The plan builder guarantees the two sides have disjoint column names.
+    The join works on column arrays: it reads each input column once and
+    emits a standalone :class:`~repro.engine.util.ColumnBatch`. ``post``
+    is an optional fused stateless map/filter over emitted rows; it gets
+    them as a frame and its output is emitted. The plan builder
+    guarantees the two sides have disjoint column names.
     """
 
     def __init__(
@@ -166,45 +174,55 @@ class SymmetricHashJoin(Operator):
         self.left_on, self.right_on, self.post = left_on, right_on, post
         self._sides = [_JoinSide(left_on), _JoinSide(right_on)]
 
-    def on_batch(self, upstream_idx: int, pdf: pd.DataFrame) -> Optional[pd.DataFrame]:
+    def on_batch(self, upstream_idx: int, batch: Batch) -> Optional[Batch]:
         if upstream_idx not in (0, 1):
             raise ValueError(f"join has upstreams 0/1, got {upstream_idx}")
-        if pdf is None or len(pdf) == 0:
+        if batch is None or len(batch) == 0:
             return None
+        batch = as_columns(batch)
         mine = self._sides[upstream_idx]
         other = self._sides[1 - upstream_idx]
-        h = key_hash(pdf, mine.keys)
+        h = key_hash(batch, mine.keys)
+        # The key hash reads the columns as they are; probing, the key
+        # check and the append read numpy arrays.
+        cols = {
+            c: col if isinstance(col, np.ndarray) else col.to_numpy()
+            for c, col in zip(batch.names, batch.cols)
+        }
         hit = other.probe(h)
         out = None
         if hit is not None:
-            opos, ppos = self._verified(hit, other, pdf, mine.keys)
+            opos, ppos = self._verified(hit, other, batch, cols, mine.keys)
             if len(opos):
-                probe_cols = {c: pdf[c].to_numpy()[ppos] for c in pdf}
-                left, right = probe_cols, other.take(opos)
+                left = {c: vals[ppos] for c, vals in cols.items()}
+                right = other.take(opos)
                 if upstream_idx == 1:  # keep left columns first
                     left, right = right, left
-                # Every column is a fresh gather, so the frame may own it
-                # as is rather than copy it into consolidated blocks.
-                out = pd.DataFrame({**left, **right}, copy=False)
-        mine.append(pdf, h)
-        if out is not None and self.post is not None:
-            out = self.post(out)
+                out = {**left, **right}
+        mine.append(cols, batch.width, h)
+        if out is None:
+            return None
+        if self.post is None:
+            return ColumnBatch.of_arrays(out)
+        # Every column is a fresh gather, so the frame may own it as is
+        # rather than copy it into consolidated blocks.
+        out = self.post(pd.DataFrame(out, copy=False))
         return out if out is not None and len(out) else None
 
     @staticmethod
-    def _verified(hit, other: _JoinSide, pdf: pd.DataFrame, keys: list[str]):
+    def _verified(hit, other: _JoinSide, batch: ColumnBatch, cols, keys: list[str]):
         """Drop hash-equal pairs whose real keys differ. Equal hashes imply
         equal keys (see ``key_hash``) only for one integer key on both
         sides, so every other key shape is re-checked column by column."""
         opos, ppos = hit
         if len(keys) == 1 and (
-            pdf[keys[0]].dtype.kind in "iu"
+            batch.column(keys[0]).dtype.kind in "iu"
             and other.column(other.keys[0]).dtype.kind in "iu"
         ):
             return opos, ppos
         keep = np.ones(len(opos), dtype=bool)
         for ok, pk in zip(other.keys, keys):
-            keep &= other.column(ok)[opos] == pdf[pk].to_numpy()[ppos]
+            keep &= other.column(ok)[opos] == cols[pk][ppos]
         return opos[keep], ppos[keep]
 
     def state_nbytes(self) -> int:
@@ -271,10 +289,10 @@ class HashAgg(Operator):
         self._rows = len(out)
         return out
 
-    def on_batch(self, upstream_idx: int, pdf: pd.DataFrame) -> None:
-        if pdf is None or len(pdf) == 0:
+    def on_batch(self, upstream_idx: int, batch: Batch) -> None:
+        if batch is None or len(batch) == 0:
             return None
-        contrib = self._contrib(pdf)
+        contrib = self._contrib(as_frame(batch))
         self._chunks.append(contrib)
         self._rows += len(contrib)
         # Amortised compaction keeps the state variable bounded by the
@@ -322,9 +340,10 @@ class TopK(Operator):
         )
         self._state: Optional[pd.DataFrame] = None
 
-    def on_batch(self, upstream_idx: int, pdf: pd.DataFrame) -> None:
-        if pdf is None or len(pdf) == 0:
+    def on_batch(self, upstream_idx: int, batch: Batch) -> None:
+        if batch is None or len(batch) == 0:
             return None
+        pdf = as_frame(batch)
         merged = (
             pdf
             if self._state is None

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 
-from .util import Slice, dtype_width
+from .util import Batch, ColumnBatch, as_columns
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -32,72 +32,87 @@ def _mix64(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _col_hash(s: pd.Series) -> np.ndarray:
+def _crc_hash(values, n: int) -> np.ndarray:
+    """Hash of ``str`` of each of ``n`` values (strings / objects)."""
+    return _mix64(
+        np.fromiter((zlib.crc32(str(x).encode()) for x in values), dtype=np.uint64, count=n)
+    )
+
+
+def _series_hash(s: pd.Series) -> np.ndarray:
     if pd.api.types.is_datetime64_any_dtype(s):
         return _mix64(s.astype("int64").to_numpy().view(np.uint64))
     if pd.api.types.is_integer_dtype(s):
         return _mix64(s.to_numpy().astype(np.int64).view(np.uint64))
     if pd.api.types.is_float_dtype(s):
         return _mix64(s.to_numpy().astype(np.float64).view(np.uint64))
-    # strings / objects
-    vals = np.fromiter(
-        (zlib.crc32(str(x).encode()) for x in s), dtype=np.uint64, count=len(s)
-    )
-    return _mix64(vals)
+    return _crc_hash(s, len(s))
 
 
-def key_hash(pdf: pd.DataFrame, cols: list[str]) -> np.ndarray:
+def _col_hash(col) -> np.ndarray:
+    """Hash of every value of one column array, equal to hashing the
+    column as a Series. Numpy datetimes, integers, floats and objects are
+    hashed in place; every other array (bool, timedelta, extension
+    arrays) goes through the Series, whose dtype checks and element
+    types decide its hash: ``str`` of a ``np.timedelta64`` is not that of
+    a ``pd.Timedelta``."""
+    kind = col.dtype.kind if isinstance(col, np.ndarray) else None
+    if kind == "M":
+        return _mix64(col.view(np.int64).view(np.uint64))
+    if kind in ("i", "u"):
+        return _mix64(col.astype(np.int64).view(np.uint64))
+    if kind == "f":
+        return _mix64(col.astype(np.float64).view(np.uint64))
+    if kind == "O":
+        return _crc_hash(col, len(col))
+    return _series_hash(pd.Series(col, copy=False))
+
+
+def key_hash(batch: Batch, cols: list[str]) -> np.ndarray:
     """uint64 hash of every row's ``cols`` — the one key hash shared by
     shuffle routing and the join index. For a single integer column it is
     a bijection of the value (the splitmix64 finaliser is invertible), so
     equal hashes mean equal keys; otherwise callers must check equality."""
-    h = np.zeros(len(pdf), dtype=np.uint64)
+    batch = as_columns(batch)
+    h = np.zeros(len(batch), dtype=np.uint64)
     for c in cols:
-        h = h * _GOLDEN + _col_hash(pdf[c])
+        h = h * _GOLDEN + _col_hash(batch.column(c))
     return h
 
 
-def hash_indices(pdf: pd.DataFrame, cols: list[str], n: int) -> np.ndarray:
+def hash_indices(batch: Batch, cols: list[str], n: int) -> np.ndarray:
     """Channel index in ``[0, n)`` for every row, hashing ``cols``."""
-    return (_mix64(key_hash(pdf, cols)) % np.uint64(n)).astype(np.int64)
+    return (_mix64(key_hash(batch, cols)) % np.uint64(n)).astype(np.int64)
 
 
 def partition(
-    pdf: Optional[pd.DataFrame], cols: list[str], n: int
-) -> list[Optional[Slice]]:
+    batch: Optional[Batch], cols: list[str], n: int
+) -> list[Optional[ColumnBatch]]:
     """Split a batch into ``n`` slices by hash of ``cols``.
 
-    A slice holds its rows column by column (see
-    :class:`~repro.engine.util.Slice`) and becomes a frame only when a
-    consumer gathers it. An empty ``cols`` sends everything to channel 0
-    (global aggregation / top-k stages have a single channel) as a slice
-    wrapping the batch itself. Empty slices are ``None`` — the engine's
-    empty-output sentinel — so downstream cost accounting and inbox
-    bookkeeping stay uniform.
+    A slice is a :class:`~repro.engine.util.ColumnBatch` that owns its
+    rows' arrays; a frame's columns are read once, a column batch's are
+    used as they are. An empty ``cols`` sends everything to channel 0
+    (global aggregation / top-k stages have a single channel) as the
+    whole batch. Empty slices are ``None`` — the engine's empty-output
+    sentinel — so downstream cost accounting and inbox bookkeeping stay
+    uniform.
     """
-    out: list[Optional[Slice]] = [None] * n
-    if pdf is None or len(pdf) == 0:
+    out: list[Optional[ColumnBatch]] = [None] * n
+    if batch is None or len(batch) == 0:
         return out
-    names = list(pdf.columns)
-    arrays = []
-    width = 0
-    for c in names:
-        s = pdf[c]
-        arrays.append(s.to_numpy() if isinstance(s.dtype, np.dtype) else s.array)
-        width += dtype_width(s.dtype)
+    batch = as_columns(batch)
     if n == 1 or not cols:
-        out[0] = Slice(names, arrays, len(pdf), width, pdf)
+        out[0] = batch
         return out
-    idx = hash_indices(pdf, cols, n)
+    idx = hash_indices(batch, cols, n)
     # One stable argsort, then every slice gathers its rows of each
     # column; stability preserves within-slice row order, keeping slices
-    # replay-identical. A slice owns its arrays, positions included, so
-    # one still waiting in an inbox pins nothing of the other slices.
+    # replay-identical.
     order = np.argsort(idx, kind="stable")
     bounds = np.searchsorted(idx[order], np.arange(n + 1)).tolist()
     for i in range(n):
         a, b = bounds[i], bounds[i + 1]
         if a < b:
-            pos = order[a:b].copy()
-            out[i] = Slice(names, [col[pos] for col in arrays], b - a, width, pdf, pos)
+            out[i] = batch.take(order[a:b])
     return out

@@ -1,23 +1,28 @@
-"""The shuffle data plane: slices gathered into one frame per task.
+"""The shuffle data plane: slices gathered into one batch per task.
 
-A consumer's gather must see exactly the frame that concatenating
-frame-per-slice shuffle output with ``pd.concat`` gives (values, dtypes,
-column order, ``RangeIndex``), and size it exactly as ``pdf_nbytes`` of
-that frame: simulated time depends on it.
+A consumer's gather must materialise to exactly the frame that
+concatenating frame-per-slice shuffle output with ``pd.concat`` gives
+(values, dtypes, column order, ``RangeIndex``), and size it exactly as
+``pdf_nbytes`` of that frame: simulated time depends on it.
 """
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.engine.executor import ChannelRt, Executor
+from repro.core.naming import ConsumeLineage, ScanLineage
+from repro.core.wal import LineageStore
+from repro.engine.executor import DYNAMIC_MIN, ChannelRt, ExecConfig, Executor
 from repro.engine.operators import Operator
 from repro.engine.partition import hash_indices, partition
+from repro.engine.plan import OpStage
 from repro.engine.util import (
+    as_frame,
     concat_batches,
     dtype_width,
     pdf_nbytes,
     row_nbytes,
 )
+from repro.queries.tpch import QUERIES
 
 N = 4  # consumer channels
 
@@ -53,15 +58,23 @@ class Recorder(Operator):
         return None
 
 
+def committed(u, n):
+    """A lineage store in which ``u``'s first ``n`` outputs are committed."""
+    store = LineageStore()
+    for seq in range(n):
+        store.commit_task(u, seq, ScanLineage(seq), 0)
+    return store
+
+
 def gather(parts):
     """Run the executor's gather over ``parts`` as one upstream's inputs:
-    (frame the operator saw, bytes charged)."""
+    (the operator's input as a frame, bytes charged)."""
     u = (0, 0)
     rt = ChannelRt((1, 0), None, 0, [u], {u: 0}, Recorder(), [])
     rt.inbox[u] = dict(enumerate(parts))
-    _, nbytes = Executor._gather(rt, u, 0, len(parts))
+    _, nbytes = Executor._gather(committed(u, len(parts)), rt, u, 0, len(parts))
     assert rt.inbox[u] == {} and rt.watermark[u] == len(parts)
-    return (rt.op.seen[0] if rt.op.seen else None), nbytes
+    return (as_frame(rt.op.seen[0]) if rt.op.seen else None), nbytes
 
 
 def batch(seed, v):
@@ -110,13 +123,13 @@ def test_gather_equals_concat_of_frame_slices(case):
         assert list(got.columns) == ["k", "s", "d", "v"]
         assert nbytes == pdf_nbytes(want)
         # the public concat is the same frame
-        pd.testing.assert_frame_equal(concat_batches(parts), want)
+        pd.testing.assert_frame_equal(as_frame(concat_batches(parts)), want)
 
 
 def test_gathered_frame_is_consolidated():
     batches = CASES["same-schema"]
     parts = [partition(b, ["k"], N)[0] for b in batches]
-    got = concat_batches(parts)
+    got = as_frame(concat_batches(parts))
     # one block per dtype: int64, object, datetime64, float64
     assert got._mgr.nblocks == 4
 
@@ -124,7 +137,8 @@ def test_gathered_frame_is_consolidated():
 def test_single_channel_slice_is_the_batch():
     pdf = batch(7, _rows(10, 7))
     (s,) = partition(pdf, ["k"], 1)
-    assert concat_batches([None, s, None]) is pdf
+    assert concat_batches([None, s, None]) is s
+    assert as_frame(s) is pdf
     assert s.nbytes == pdf_nbytes(pdf)
 
 
@@ -194,6 +208,44 @@ def test_object_column_of_timestamps_stays_object():
     for s, want in zip(slices, reference):
         if s is not None:
             pd.testing.assert_frame_equal(s.to_frame(), want)
-    got = concat_batches(slices)
+    got = as_frame(concat_batches(slices))
     pd.testing.assert_frame_equal(got, reference_concat(reference))
     assert got["o"].dtype == object
+
+
+# ------------------------------------------- Algorithm 1: consume committed
+
+
+def test_gather_rejects_uncommitted_output():
+    u = (0, 0)
+    parts = [batch(8, _rows(6, 8)), batch(9, _rows(6, 9))]
+    # nothing committed, then only the first of the two outputs: the
+    # check covers the whole consumed range, not its first output
+    for store in (LineageStore(), committed(u, 1)):
+        rt = ChannelRt((1, 0), None, 0, [u], {u: 0}, Recorder(), [])
+        rt.inbox[u] = dict(enumerate(parts))
+        with pytest.raises(RuntimeError, match="not all committed"):
+            Executor._gather(store, rt, u, 0, len(parts))
+        assert rt.op.seen == [] and rt.watermark == {}
+
+
+def _join_channel(db, tables):
+    """An executor for q3 and its first join channel with an upstream
+    channel that has committed nothing."""
+    plan = QUERIES["q3"].plan(db)
+    ex = Executor(plan, tables, ExecConfig(n_workers=2))
+    sid = next(i for i, st in enumerate(plan.stages) if isinstance(st, OpStage))
+    rt = ex.channels[(sid, 0)]
+    return ex, rt, rt.upstream_cids[0]
+
+
+@pytest.mark.parametrize("path", ["streaming", "retrace"])
+def test_task_build_rejects_uncommitted_input(db, tables, path):
+    ex, rt, u = _join_channel(db, tables)
+    pdf = ex.tables[ex.plan.stages[u[0]].table][0]
+    for seq in range(DYNAMIC_MIN):
+        ex._deliver(rt.cid, u, seq, partition(pdf, [], 1)[0])
+    if path == "retrace":
+        rt.retrace_records = [ConsumeLineage(u, 0, DYNAMIC_MIN)]
+    with pytest.raises(RuntimeError, match="not all committed"):
+        ex._build_task(rt)

@@ -114,3 +114,42 @@ def test_append_to_non_list_rejected_entirely(tmp_path):
                    ["set", "a", "n", [1]], ["append", "a", "n", 2]])
     assert g.get("a", "k") == [2] and g.get("a", "n") == [1, 2]
     g.close()
+
+
+def _rejected(g, path, ops):
+    """``ops`` raise TransactionError and leave the store as it was."""
+    before = (g.table("a"), g.journal, g.txn_count, path.read_text())
+    with pytest.raises(TransactionError):
+        g.transaction(ops)
+    assert (g.table("a"), g.journal, g.txn_count, path.read_text()) == before
+
+
+@pytest.fixture()
+def journaled(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    g = Gcs(str(path))
+    g.set("a", "k", 1)
+    yield g, path
+    g.close()
+
+
+def test_empty_op_rejected_entirely(journaled):
+    g, path = journaled
+    _rejected(g, path, [["set", "a", "j", 2], []])
+
+
+def test_unhashable_namespace_or_key_rejected_entirely(journaled):
+    g, path = journaled
+    _rejected(g, path, [["set", "a", "j", 2], ["set", ["a"], "k", 3]])
+    _rejected(g, path, [["set", "a", "j", 2], ["append", "a", ["k"], 3]])
+    _rejected(g, path, [["set", "a", "j", 2], ["del", "a", {"k": 1}]])
+
+
+def test_unserialisable_value_rejected_with_or_without_journal(journaled):
+    g, path = journaled
+    _rejected(g, path, [["set", "a", "j", 2], ["set", "a", "k", object()]])
+    _rejected(g, path, [["append", "a", "j", {1, 2}]])
+    g2 = Gcs()
+    with pytest.raises(TransactionError):
+        g2.transaction([["set", "a", "j", 2], ["set", "a", "k", object()]])
+    assert (g2.table("a"), g2.journal, g2.txn_count) == ({}, [], 0)

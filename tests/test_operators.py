@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine import operators
 from repro.engine.operators import HashAgg, SymmetricHashJoin, TopK
-from repro.engine.util import pdf_nbytes
+from repro.engine.util import as_frame, pdf_nbytes
 
 
 def _sorted(df, cols=None):
@@ -42,7 +42,7 @@ def _drive(join, feed):
     for side, batch in feed:
         r = join.on_batch(side, batch)
         if r is not None:
-            outs.append(r)
+            outs.append(as_frame(r))
     return pd.concat(outs, ignore_index=True) if outs else pd.DataFrame()
 
 
@@ -78,7 +78,7 @@ def test_join_multi_column_keys():
     right = pd.DataFrame({"c": [1, 2, 1], "d": [2, 1, 9], "y": [7, 8, 9]})
     j = SymmetricHashJoin(["a", "b"], ["c", "d"])
     outs = [j.on_batch(0, left), j.on_batch(1, right)]
-    got = pd.concat([o for o in outs if o is not None], ignore_index=True)
+    got = pd.concat([as_frame(o) for o in outs if o is not None], ignore_index=True)
     expected = left.merge(right, left_on=["a", "b"], right_on=["c", "d"])
     pd.testing.assert_frame_equal(
         _sorted(got), _sorted(expected), check_dtype=False
@@ -174,7 +174,7 @@ def test_join_single_string_key_matches_exactly():
     right = pd.DataFrame({"rs": ["a", "c", "d"], "rv": [5, 6, 7]})
     j = SymmetricHashJoin(["ls"], ["rs"])
     j.on_batch(1, right)
-    got = j.on_batch(0, left)
+    got = as_frame(j.on_batch(0, left))
     expected = left.merge(right, left_on="ls", right_on="rs")
     pd.testing.assert_frame_equal(_sorted(got), _sorted(expected))
 
