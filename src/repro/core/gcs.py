@@ -54,9 +54,6 @@ class Gcs:
         """A *copy* of a namespace (callers must not mutate store state)."""
         return dict(self._tables.get(ns, {}))
 
-    def keys(self, ns: str) -> list[str]:
-        return list(self._tables.get(ns, {}).keys())
-
     # -- writes ------------------------------------------------------------
 
     def transaction(self, ops: Iterable[list]) -> None:
@@ -121,9 +118,6 @@ class Gcs:
     def set(self, ns: str, key: str, value: Any) -> None:
         self.transaction([["set", ns, key, value]])
 
-    def delete(self, ns: str, key: str) -> None:
-        self.transaction([["del", ns, key]])
-
     # -- durability --------------------------------------------------------
 
     def close(self) -> None:
@@ -138,13 +132,27 @@ class Gcs:
 
     @classmethod
     def recover_from_journal(cls, journal_path: str) -> "Gcs":
-        """Rebuild a store by replaying a journal file (head-node crash)."""
+        """Rebuild a store by replaying a journal file (head-node crash).
+
+        Every line is one JSON array, so no strict prefix of a line
+        parses. A final line that does not parse is a write the crash
+        tore: its transaction was never applied, and it is dropped. Any
+        earlier line that does not parse is corruption and raises
+        :class:`TransactionError`.
+        """
         g = cls()
         with open(journal_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    g.transaction(json.loads(line))
+            lines = [(n, ln) for n, ln in enumerate(fh, 1) if ln.strip()]
+        for i, (n, line) in enumerate(lines):
+            try:
+                ops = json.loads(line)
+            except json.JSONDecodeError as e:
+                if i == len(lines) - 1:
+                    break
+                raise TransactionError(
+                    f"{journal_path}: line {n} is corrupt: {e}"
+                ) from e
+            g.transaction(ops)
         return g
 
     @classmethod

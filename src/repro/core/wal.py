@@ -130,9 +130,6 @@ class LineageStore:
 
     # -- channel→worker assignments ------------------------------------------
 
-    def assignment(self, cid: ChannelId) -> Optional[int]:
-        return self.gcs.get("assign", encode_channel(cid))
-
     def set_assignment(self, cid: ChannelId, worker: int) -> None:
         self.gcs.set("assign", encode_channel(cid), worker)
 

@@ -61,7 +61,7 @@ from ..core.naming import (
     ScanLineage,
     TaskName,
 )
-from ..core.recovery import plan_recovery
+from ..core.recovery import Replay, Rescan, plan_recovery
 from ..core.wal import DURABLE, LineageStore
 from .cluster import Worker
 from .operators import Operator
@@ -116,21 +116,28 @@ class ExecConfig:
 
 @dataclass
 class Task:
-    """One task's effects, computed eagerly when it is built and applied
-    at its completion event (a worker failure discards them together
-    with the channel state).
+    """One task of any kind, from launch to its completion event. Its
+    effects are computed eagerly at launch and applied at completion; a
+    failure of ``worker`` in between discards them.
 
-    ``outputs`` are (seq, output) pairs with one lineage record each;
-    ``close`` is the channel's output total when this task closes it;
-    ``retrace`` marks a re-execution of already-committed lineage.
+    ``kind`` is ``scan`` | ``stream`` | ``retrace`` (channel tasks) or
+    ``replay`` | ``rescan`` (Algorithm 2's recovery tasks). ``outputs``
+    are (seq, output) pairs of channel ``cid``; ``records`` holds their
+    lineage to commit, one each, and is empty when the lineage is
+    already committed (retrace, rescan) or there are no outputs
+    (replay). ``close`` is the channel's output total when this task
+    closes it. ``deliveries`` are the (dest, producer, seq, slice)
+    pushes made at completion.
     """
 
+    kind: str
+    cid: ChannelId
     outputs: list[tuple[int, Optional[Batch]]]
-    records: list[LineageRecord]
+    records: list[LineageRecord] = field(default_factory=list)
     bytes_in: int = 0
-    scan: bool = False
     close: Optional[int] = None
-    retrace: bool = False
+    deliveries: list = field(default_factory=list)
+    worker: int = -1
 
 
 @dataclass
@@ -271,16 +278,17 @@ class Executor:
         self._cursor: dict[int, int] = {w.wid: 0 for w in self.workers}
 
         # -- event machinery -------------------------------------------------
-        self._heap: list[tuple[float, int, str, int]] = []
-        self._payloads: dict[int, dict] = {}
+        #: (time, seq, event): a task's completion, a failure, or the
+        #: coordinator's "detect"/"recover" step.
+        self._heap: list[tuple[float, int, Task | Failure | str]] = []
         self._counter = 0
-        self._cancelled: set[int] = set()
-        self._active_eids: dict[int, set[int]] = {w.wid: set() for w in self.workers}
-        self.n_active = 0
         self.paused = False
         self.pending_recover = False
         self.dead: set[int] = set()
-        self.special: dict[int, deque] = {w.wid: deque() for w in self.workers}
+        #: recovery tasks waiting for a slot on each worker
+        self.queued: dict[int, deque[Replay | Rescan]] = {
+            w.wid: deque() for w in self.workers
+        }
         self.client: dict[tuple[ChannelId, int], Optional[Batch]] = {}
         #: committed watermark snapshot taken at each recovery, used by
         #: retracing producers to suppress provably-redundant re-pushes.
@@ -297,12 +305,16 @@ class Executor:
 
     # ------------------------------------------------------------------ events
 
-    def _push(self, t: float, kind: str, payload: dict) -> int:
+    def _push(self, t: float, ev: Task | Failure | str) -> None:
         self._counter += 1
-        eid = self._counter
-        self._payloads[eid] = payload
-        heapq.heappush(self._heap, (t, eid, kind, eid))
-        return eid
+        heapq.heappush(self._heap, (t, self._counter, ev))
+
+    @property
+    def n_active(self) -> int:
+        """Busy slots of live workers; recovery waits for them to drain."""
+        return sum(
+            SLOTS_PER_WORKER - w.free_slots for w in self.workers if w.alive
+        )
 
     # ------------------------------------------------------------------- run
 
@@ -321,26 +333,24 @@ class Executor:
                 self.store.gcs.set("closed", f"{cid[0]}.{cid[1]}", 0)
                 rt.done = True
         for f in failures:
-            self._push(f.at_time, "fail", {"worker": f.worker})
+            self._push(f.at_time, f)
         self._schedule_pass(0.0)
         now = 0.0
         while self._heap:
-            t, _, kind, eid = heapq.heappop(self._heap)
-            payload = self._payloads.pop(eid)
+            t, _, ev = heapq.heappop(self._heap)
             now = max(now, t)
-            if eid in self._cancelled:
-                self._cancelled.discard(eid)
-                continue
-            if kind == "done":
-                self._apply_done(now, eid, payload)
-            elif kind == "fail":
-                self._apply_fail(now, payload["worker"])
-            elif kind == "detect":
+            if isinstance(ev, Task):
+                # Workers never revive and no task starts on a dead one,
+                # so a task whose worker is dead was cancelled by its
+                # failure: no commit and no effects.
+                if self.workers[ev.worker].alive:
+                    self._apply_done(now, ev)
+            elif isinstance(ev, Failure):
+                self._apply_fail(now, ev.worker)
+            elif ev == "detect":
                 self._apply_detect(now)
-            elif kind == "recover":
+            else:
                 self._apply_recover(now)
-            else:  # pragma: no cover
-                raise AssertionError(kind)
 
         not_done = [cid for cid, rt in self.channels.items() if not rt.done]
         if not_done:
@@ -385,9 +395,8 @@ class Executor:
             if not w.alive:
                 continue
             while w.free_slots > 0:
-                if self.special[w.wid]:
-                    item = self.special[w.wid].popleft()
-                    self._launch_special(now, w, item)
+                if self.queued[w.wid]:
+                    self._launch_queued(now, w, self.queued[w.wid].popleft())
                     continue
                 launched = self._launch_some_channel(now, w)
                 if not launched:
@@ -441,10 +450,11 @@ class Executor:
         batch_idx = rt.scan_batches[seq]
         out, bytes_in = self._scan(rt.spec, batch_idx)
         return Task(
+            "scan",
+            rt.cid,
             [(seq, out)],
             [ScanLineage(batch_idx)],
             bytes_in,
-            scan=True,
             close=n if seq == n - 1 else None,
         )
 
@@ -506,7 +516,7 @@ class Executor:
             else:  # pragma: no cover - scan channels are never rewound
                 raise AssertionError(rec)
             outputs.append((seq, out))
-        return Task(outputs, recs[rt.next_seq:end], bytes_in, retrace=True)
+        return Task("retrace", rt.cid, outputs, bytes_in=bytes_in)
 
     def _skip_empty(self, rt: ChannelRt) -> None:
         """Advance watermarks over empty-slice prefixes without a task.
@@ -557,6 +567,8 @@ class Executor:
             start = rt.watermark.get(best_u, 0)
             out, bytes_in = self._gather(self.store, rt, best_u, start, best_avail)
             return Task(
+                "stream",
+                rt.cid,
                 [(rt.next_seq, out)],
                 [ConsumeLineage(best_u, start, best_avail)],
                 bytes_in,
@@ -572,7 +584,11 @@ class Executor:
                 out = rt.op.flush()
                 rt.flushed = True
                 return Task(
-                    [(rt.next_seq, out)], [FlushLineage()], close=rt.next_seq + 1
+                    "stream",
+                    rt.cid,
+                    [(rt.next_seq, out)],
+                    [FlushLineage()],
+                    close=rt.next_seq + 1,
                 )
         return None
 
@@ -600,7 +616,7 @@ class Executor:
         rt.active = True
         w.free_slots -= 1
 
-        deliveries = []  # (dest_cid, u_cid, seq, slice)
+        retrace = task.kind == "retrace"
         bytes_out = 0
         remote_bytes = 0
         remote_slices = 0
@@ -610,13 +626,13 @@ class Executor:
             bytes_out += rowb * rows
             for dest, u, s, sl in self._deliveries_for(rt.cid, seq, out):
                 drt = self.channels[dest]
-                if task.retrace and not drt.retrace_records:
+                if retrace and not drt.retrace_records:
                     # A retracing producer consults the consumers'
                     # *committed* watermarks in the GCS and skips
                     # re-transmitting outputs they provably consumed.
                     if self._wm_snap.get(dest, {}).get(u, 0) > s:
                         continue
-                deliveries.append((dest, u, s, sl))
+                task.deliveries.append((dest, u, s, sl))
                 if drt.worker != w.wid and sl is not None:
                     remote_bytes += rowb * len(sl)
                     remote_slices += 1
@@ -625,7 +641,7 @@ class Executor:
         if not rt.started and cfg.exec_mode == "stagewise":
             t += cost.stage_sched_s
         rt.started = True
-        if task.scan:
+        if task.kind == "scan":
             t += cost.scan_time(task.bytes_in)
         else:
             t += cost.cpu_time(task.bytes_in, bytes_out)
@@ -651,7 +667,7 @@ class Executor:
                 dur = sum(
                     cost.durable_time(pdf_nbytes(out), kind)
                     for seq, out in task.outputs
-                    if not (task.retrace and (sid, rt.cid[1], seq) in self.durable)
+                    if not (retrace and (sid, rt.cid[1], seq) in self.durable)
                 )
             if dur:
                 t = w.nic.reserve(t, dur)
@@ -661,26 +677,15 @@ class Executor:
             if (last_seq + 1) % CKPT_EVERY == 0:
                 t = w.nic.reserve(t, cost.durable_time(rt.op.state_nbytes(), "s3"))
 
-        eid = self._push(
-            t,
-            "done",
-            {
-                "kind": "task",
-                "worker": w.wid,
-                "cid": rt.cid,
-                "task": task,
-                "deliveries": deliveries,
-            },
-        )
-        self._active_eids[w.wid].add(eid)
-        self.n_active += 1
+        task.worker = w.wid
+        self._push(t, task)
 
-    def _launch_special(self, now: float, w: Worker, item: tuple) -> None:
+    def _launch_queued(self, now: float, w: Worker, item: Replay | Rescan) -> None:
         cost = self.cost
-        kind = item[0]
         w.free_slots -= 1
-        if kind == "replay":
-            _, source, dest = item
+        t = now + cost.task_overhead_s
+        if isinstance(item, Replay):
+            source, dest = item.source, item.dest
             owner_loc = self.store.location(source)
             if owner_loc == DURABLE:
                 full = self.durable[source]
@@ -695,7 +700,6 @@ class Executor:
             # Upstream backups are stored pre-partitioned (as Spark's map
             # outputs are), so a replay reads and ships only the slice
             # the rewound consumer needs.
-            t = now + cost.task_overhead_s
             if owner_loc == DURABLE:
                 t = w.nic.reserve(t, cost.s3_lat_s + cost.net_time(nbytes))
             else:
@@ -703,34 +707,24 @@ class Executor:
                 dw = self.channels[dest].worker
                 if dw != w.wid and sl is not None:
                     t = w.nic.reserve(t, cost.net_time(nbytes) + cost.push_lat_s)
-            payload = {
-                "kind": "replay",
-                "worker": w.wid,
-                "source": source,
-                "dest": dest,
-                "slice": sl,
-            }
-        elif kind == "rescan":
-            _, name, batch_idx = item
-            out, bytes_in = self._scan(self.plan.stages[name[0]], batch_idx)
-            t = now + cost.task_overhead_s + cost.scan_time(bytes_in)
+            cid = (source[0], source[1])
+            task = Task("replay", cid, [], deliveries=[(dest, cid, source[2], sl)])
+        else:
+            name = item.name
+            cid = (name[0], name[1])
+            out, bytes_in = self._scan(self.plan.stages[name[0]], item.batch_idx)
+            t += cost.scan_time(bytes_in)
             if (
                 self.cfg.ft_mode in ("wal", "checkpoint")
                 and out is not None
                 and not self.fused_out[name[0]]
             ):
                 t = w.disk.reserve(t, cost.disk_time(pdf_nbytes(out)))
-            payload = {
-                "kind": "rescan",
-                "worker": w.wid,
-                "name": name,
-                "out": out,
-            }
-        else:  # pragma: no cover
-            raise AssertionError(kind)
-        eid = self._push(t, "done", payload)
-        self._active_eids[w.wid].add(eid)
-        self.n_active += 1
+            # Consumers dedupe, so a rescan re-pushes to all of them.
+            deliveries = self._deliveries_for(cid, name[2], out)
+            task = Task("rescan", cid, [(name[2], out)], deliveries=deliveries)
+        task.worker = w.wid
+        self._push(t, task)
 
     # ------------------------------------------------------------------- apply
 
@@ -743,22 +737,6 @@ class Executor:
         box = drt.inbox.setdefault(u, {})
         if seq not in box:
             box[seq] = sl
-
-    def _finish_event(
-        self, now: float, eid: int, wid: int, touched: set[int]
-    ) -> None:
-        self._active_eids[wid].discard(eid)
-        self.n_active -= 1
-        w = self.workers[wid]
-        if w.alive:
-            w.free_slots += 1
-        if self.paused:
-            if self.n_active == 0 and self.pending_recover:
-                self.pending_recover = False
-                self._push(now, "recover", {})
-        else:
-            touched.add(wid)
-            self._schedule_pass(now, touched)
 
     def _persist(self, wid: int, name: TaskName, out) -> Optional[int | str]:
         """Back up (``wal``/``checkpoint``) or spool one output and return
@@ -776,65 +754,57 @@ class Executor:
             return DURABLE
         return None
 
-    def _apply_done(self, now: float, eid: int, p: dict) -> None:
-        wid = p["worker"]
+    def _apply_done(self, now: float, task: Task) -> None:
+        wid, cid = task.worker, task.cid
         touched: set[int] = set()
-        if p["kind"] == "task":
-            rt = self.channels[p["cid"]]
-            task: Task = p["task"]
-            last_seq = task.outputs[-1][0]
-            # Backup / spool, then commit, then deliver: consumers only ever
-            # see outputs whose lineage is committed (the core invariant).
-            for (seq, out), rec in zip(task.outputs, task.records):
-                name: TaskName = (rt.cid[0], rt.cid[1], seq)
-                loc = self._persist(wid, name, out)
-                if not task.retrace:
-                    close = task.close if seq == last_seq else None
-                    self.store.commit_task(
-                        rt.cid, seq, rec, loc if loc is not None else "none", close
-                    )
-                elif loc is not None:
-                    self.store.set_location(name, loc)
-            for dest, u, seq, sl in p["deliveries"]:
-                self._deliver(dest, u, seq, sl)
-                touched.add(self.channels[dest].worker)
-            if rt.cid[0] == self.plan.final_stage:
-                for seq, out in task.outputs:
-                    self.client.setdefault((rt.cid, seq), out)
+        # Backup / spool, then commit, then deliver: consumers only ever
+        # see outputs whose lineage is committed (the core invariant).
+        for i, (seq, out) in enumerate(task.outputs):
+            name: TaskName = (cid[0], cid[1], seq)
+            loc = self._persist(wid, name, out)
+            if task.records:
+                close = task.close if i == len(task.outputs) - 1 else None
+                self.store.commit_task(
+                    cid, seq, task.records[i], loc if loc is not None else "none", close
+                )
+            elif loc is not None and (task.kind == "retrace" or loc == wid):
+                # A retrace re-records every location; a rescan only a
+                # fresh local backup (a fused output's stays "fused").
+                self.store.set_location(name, loc)
+            if cid[0] == self.plan.final_stage:
+                self.client.setdefault((cid, seq), out)
+        for dest, u, seq, sl in task.deliveries:
+            self._deliver(dest, u, seq, sl)
+            touched.add(self.channels[dest].worker)
+        if task.kind in ("replay", "rescan"):
+            self.stats[f"n_{task.kind}s"] += 1
+        else:
+            rt = self.channels[cid]
             rt.active = False
             rt.exec_count += 1
             self.stats["n_tasks"] += 1
             if task.close is not None and self.cfg.exec_mode == "stagewise":
                 # A channel closing can flip a whole stage to ready; wake
                 # every worker (stage-readiness is global state).
-                touched.update(w2.wid for w2 in self.workers if w2.alive)
-            if task.retrace and rt.next_seq >= len(rt.retrace_records):
+                touched.update(w.wid for w in self.workers if w.alive)
+            retrace = task.kind == "retrace"
+            if retrace and rt.next_seq >= len(rt.retrace_records):
                 rt.retrace_records = []
                 rt.monolithic = False
             if task.close is not None or (
-                self.store.closed_total(rt.cid) is not None
-                and rt.next_seq >= self.store.lineage_len(rt.cid)
+                self.store.closed_total(cid) is not None
+                and rt.next_seq >= self.store.lineage_len(cid)
             ):
-                if not task.retrace or not rt.retrace_records:
+                if not retrace or not rt.retrace_records:
                     rt.done = True
-        elif p["kind"] == "replay":
-            self.stats["n_replays"] += 1
-            self._deliver(p["dest"], (p["source"][0], p["source"][1]), p["source"][2], p["slice"])
-            touched.add(self.channels[p["dest"]].worker)
-        elif p["kind"] == "rescan":
-            self.stats["n_rescans"] += 1
-            name, out = p["name"], p["out"]
-            cid = (name[0], name[1])
-            # Only a fresh local backup moves the output's location; a
-            # fused output's stays "fused".
-            if self._persist(wid, name, out) == wid:
-                self.store.set_location(name, wid)
-            for dest, u, s, sl in self._deliveries_for(cid, name[2], out):
-                self._deliver(dest, u, s, sl)
-                touched.add(self.channels[dest].worker)
-            if name[0] == self.plan.final_stage:
-                self.client.setdefault((cid, name[2]), out)
-        self._finish_event(now, eid, wid, touched)
+        self.workers[wid].free_slots += 1
+        if self.paused:
+            if self.n_active == 0 and self.pending_recover:
+                self.pending_recover = False
+                self._push(now, "recover")
+        else:
+            touched.add(wid)
+            self._schedule_pass(now, touched)
 
     # ----------------------------------------------------------------- failure
 
@@ -846,16 +816,12 @@ class Executor:
             return  # query already complete; nothing to recover
         w.kill()
         self.dead.add(wid)
-        for eid in list(self._active_eids[wid]):
-            self._cancelled.add(eid)
-            self.n_active -= 1
-        self._active_eids[wid].clear()
-        self.special[wid].clear()
+        self.queued[wid].clear()
         for cid in self.host[wid]:
             rt = self.channels[cid]
             rt.active = False
             rt.inbox.clear()
-        self._push(now + self.cost.detect_delay_s, "detect", {})
+        self._push(now + self.cost.detect_delay_s, "detect")
 
     def _apply_detect(self, now: float) -> None:
         # Coordinator raises the GCS barrier: TaskManagers stop starting
@@ -864,7 +830,7 @@ class Executor:
         self.paused = True
         self.store.set_recovery_flag(True)
         if self.n_active == 0:
-            self._push(now, "recover", {})
+            self._push(now, "recover")
         else:
             self.pending_recover = True
 
@@ -924,13 +890,10 @@ class Executor:
                 and rt.next_seq >= len(rt.scan_batches)
             )
         for r in rplan.rescans:
-            self.special[r.worker].append(("rescan", r.name, r.batch_idx))
+            self.queued[r.worker].append(r)
         for r in rplan.replays:
-            if r.owner == DURABLE:
-                wid = self.channels[r.dest].worker
-            else:
-                wid = r.owner
-            self.special[wid].append(("replay", r.source, r.dest))
+            wid = self.channels[r.dest].worker if r.owner == DURABLE else r.owner
+            self.queued[wid].append(r)
         self.paused = False
         self.store.set_recovery_flag(False)
         self._schedule_pass(now)

@@ -13,6 +13,8 @@ from repro import synth_data
 from repro.engine.executor import ExecConfig, Executor, Failure, RunResult
 from repro.queries.tpch import QUERIES
 
+from .journal_audit import audit_journal
+
 TEST_SF = 0.01
 TEST_BATCHES = 16
 
@@ -29,12 +31,18 @@ def tables(db):
 
 class EngineRunner:
     """Run queries on the engine with memoised results (failure tests
-    reuse the no-failure run for the kill time)."""
+    reuse the no-failure run for the kill time). Every run's GCS journal
+    must pass :func:`audit_journal`, and is kept for :meth:`journal`."""
 
     def __init__(self, db, tables):
         self.db = db
         self.tables = tables
         self._memo: dict = {}
+        self._journals: dict = {}
+
+    @staticmethod
+    def _key(qname, pushdown, failure, cfg_kw) -> tuple:
+        return (qname, pushdown, failure, tuple(sorted(cfg_kw.items())))
 
     def config(self, **kw) -> ExecConfig:
         kw.setdefault("n_workers", 4)
@@ -42,7 +50,7 @@ class EngineRunner:
 
     def run(self, qname: str, *, pushdown: bool = True,
             failure: tuple[int, float] | None = None, **cfg_kw) -> RunResult:
-        key = (qname, pushdown, failure, tuple(sorted(cfg_kw.items())))
+        key = self._key(qname, pushdown, failure, cfg_kw)
         if key in self._memo:
             return self._memo[key]
         plan = QUERIES[qname].plan(self.db, pushdown=pushdown)
@@ -51,9 +59,19 @@ class EngineRunner:
             wid, frac = failure
             base = self.run(qname, pushdown=pushdown, **cfg_kw)
             failures = [Failure(wid, frac * base.sim_time)]
-        res = Executor(plan, self.tables, self.config(**cfg_kw)).run(failures)
+        ex = Executor(plan, self.tables, self.config(**cfg_kw))
+        res = ex.run(failures)
+        journal = ex.store.gcs.journal
+        assert audit_journal(journal) == []
         self._memo[key] = res
+        self._journals[key] = journal
         return res
+
+    def journal(self, qname: str, *, pushdown: bool = True,
+                failure: tuple[int, float] | None = None, **cfg_kw) -> list:
+        """The GCS journal of the run :meth:`run` returns for these arguments."""
+        self.run(qname, pushdown=pushdown, failure=failure, **cfg_kw)
+        return self._journals[self._key(qname, pushdown, failure, cfg_kw)]
 
 
 @pytest.fixture(scope="session")

@@ -22,9 +22,9 @@ def test_append_builds_list():
 def test_delete():
     g = Gcs()
     g.set("ns", "k", 1)
-    g.delete("ns", "k")
+    g.transaction([["del", "ns", "k"]])
     assert g.get("ns", "k") is None
-    g.delete("ns", "never-existed")  # deleting absent keys is a no-op
+    g.transaction([["del", "ns", "never-existed"]])  # deleting absent keys is a no-op
 
 
 def test_multi_op_transaction_atomic_apply():
@@ -58,7 +58,7 @@ def test_replay_reconstructs_state():
     g = Gcs()
     g.set("a", "x", 1)
     g.transaction([["append", "l", "c", [1, 2]], ["set", "a", "y", 3]])
-    g.delete("a", "x")
+    g.transaction([["del", "a", "x"]])
     g2 = Gcs.replay(g.journal)
     assert g2.table("a") == g.table("a")
     assert g2.table("l") == g.table("l")
@@ -78,6 +78,43 @@ def test_journal_file_persistence_and_crash_recovery(tmp_path):
     assert g2.get("closed", "0.1") == 2
 
 
+def _journal_of_three(path):
+    g = Gcs(journal_path=str(path))
+    g.transaction([["append", "lineage", "0.1", ["S", 3]]])
+    g.transaction([["set", "loc", "0.1.0", 2], ["set", "closed", "0.1", 1]])
+    g.transaction([["set", "loc", "0.1.0", 3], ["del", "closed", "0.1"]])
+    g.close()
+    return g
+
+
+def test_torn_journal_tail_is_dropped(tmp_path):
+    """A head crash mid-write tears the last line: recovery drops it and
+    rebuilds the store as it was before that transaction."""
+    path = tmp_path / "wal.jsonl"
+    g = _journal_of_three(path)
+    data = path.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    want = Gcs.replay(g.journal[:2])
+    for cut in (len(data) - 7, last + 1, len(data) - 2):
+        path.write_bytes(data[:cut])
+        g2 = Gcs.recover_from_journal(str(path))
+        assert g2.journal == want.journal
+        assert g2.table("loc") == {"0.1.0": 2}
+        assert g2.get("closed", "0.1") == 1
+    path.write_bytes(data[:last])  # cut on a line boundary: nothing torn
+    assert Gcs.recover_from_journal(str(path)).journal == want.journal
+
+
+def test_corrupt_journal_line_before_the_tail_raises(tmp_path):
+    path = tmp_path / "wal.jsonl"
+    _journal_of_three(path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(TransactionError, match="line 2"):
+        Gcs.recover_from_journal(str(path))
+
+
 def test_journal_written_before_apply(tmp_path):
     """Write-ahead property: the journal line exists on disk by the time
     the transaction is visible in the store."""
@@ -88,14 +125,6 @@ def test_journal_written_before_apply(tmp_path):
         lines = fh.readlines()
     assert len(lines) == 1
     assert '"k"' in lines[0]
-
-
-def test_keys_listing():
-    g = Gcs()
-    g.set("ns", "a", 1)
-    g.set("ns", "b", 2)
-    assert sorted(g.keys("ns")) == ["a", "b"]
-    assert g.keys("empty") == []
 
 
 def test_append_to_non_list_rejected_entirely(tmp_path):

@@ -11,6 +11,8 @@ from repro import synth_data
 from repro.engine.executor import ExecConfig, Executor, Failure
 from repro.queries.tpch import QUERIES
 
+from .journal_audit import audit_journal
+
 _DB = synth_data.tpch_db(sf=0.003)
 _TABLES = {k: synth_data.split_batches(v, 8) for k, v in _DB.items()}
 _BASE = {}
@@ -19,12 +21,19 @@ _BASE = {}
 def _baseline(qname):
     if qname not in _BASE:
         ex = Executor(QUERIES[qname].plan(_DB), _TABLES, ExecConfig(n_workers=4))
-        _BASE[qname] = ex.run()
+        _BASE[qname] = _run(ex)
     return _BASE[qname]
 
 
 def _sorted(df):
     return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def _run(ex, failures=()):
+    """Run ``ex`` and check its journal against Algorithm 1."""
+    res = ex.run(failures)
+    assert audit_journal(ex.store.gcs.journal) == []
+    return res
 
 
 @settings(max_examples=12, deadline=None,
@@ -37,7 +46,7 @@ def _sorted(df):
 def test_any_single_failure_preserves_result(qname, wid, frac):
     base = _baseline(qname)
     ex = Executor(QUERIES[qname].plan(_DB), _TABLES, ExecConfig(n_workers=4))
-    res = ex.run([Failure(wid, frac * base.sim_time)])
+    res = _run(ex, [Failure(wid, frac * base.sim_time)])
     pd.testing.assert_frame_equal(_sorted(res.df), _sorted(base.df))
 
 
@@ -55,7 +64,7 @@ def test_any_double_failure_preserves_result(fracs, wids):
     failures = [
         Failure(wids[i], f * base.sim_time) for i, f in enumerate(sorted(fracs))
     ]
-    res = ex.run(failures)
+    res = _run(ex, failures)
     pd.testing.assert_frame_equal(_sorted(res.df), _sorted(base.df))
 
 
@@ -69,11 +78,11 @@ def test_any_double_failure_preserves_result(fracs, wids):
 def test_failure_under_any_ft_mode_preserves_result(wid, frac, ft):
     base = _baseline("q6")
     cfg = ExecConfig(n_workers=4, ft_mode=ft)
-    norm = Executor(QUERIES["q6"].plan(_DB), _TABLES, cfg).run()
+    norm = _run(Executor(QUERIES["q6"].plan(_DB), _TABLES, cfg))
     ex = Executor(
         QUERIES["q6"].plan(_DB), _TABLES, ExecConfig(n_workers=4, ft_mode=ft)
     )
-    res = ex.run([Failure(wid, frac * norm.sim_time)])
+    res = _run(ex, [Failure(wid, frac * norm.sim_time)])
     pd.testing.assert_frame_equal(_sorted(res.df), _sorted(base.df))
 
 
@@ -92,5 +101,5 @@ def test_result_invariant_to_scheduling(k, mode):
         ExecConfig(n_workers=4, dep_mode="static", static_batch=k,
                    exec_mode=mode),
     )
-    res = ex.run()
+    res = _run(ex)
     pd.testing.assert_frame_equal(_sorted(res.df), _sorted(base.df))

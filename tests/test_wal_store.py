@@ -57,7 +57,7 @@ def test_prune_locations_on_worker_death(store):
 def test_assignments(store):
     store.set_assignment((0, 0), 3)
     store.set_assignment((1, 0), 1)
-    assert store.assignment((0, 0)) == 3
+    assert store.assignments()[(0, 0)] == 3
     assert store.assignments() == {(0, 0): 3, (1, 0): 1}
 
 
