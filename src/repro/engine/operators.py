@@ -9,8 +9,9 @@ relies on: retracing the logged consumption order reproduces
 byte-identical outputs.
 
 All non-scan operators here are stateful; stateless maps/filters are
-fused into scans and into join/agg ``post`` callbacks (paper §III-B:
-stateless channels "are typically input readers").
+fused into scans, into a join's ``select`` projection or ``post`` map and
+into an aggregation's ``derived`` map (paper §III-B: stateless channels
+"are typically input readers").
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 import pandas as pd
 
 from .partition import key_hash
-from .util import Batch, ColumnBatch, as_columns, as_frame, pdf_nbytes
+from .util import Batch, ColumnBatch, as_columns, as_frame, dtype_width, pdf_nbytes
 
 MapFn = Callable[[pd.DataFrame], pd.DataFrame]
 
@@ -39,9 +40,14 @@ class Operator(ABC):
         :func:`~repro.engine.util.as_frame`; one that works on arrays
         reads them with :func:`~repro.engine.util.as_columns`. It may
         emit either kind.
+
+        :class:`SymmetricHashJoin` and :class:`HashAgg` work on arrays
+        and emit column batches; frames are built only by a join's
+        ``post`` map, by an aggregation's ``derived`` map (once, at
+        flush) and by :class:`TopK`.
         """
 
-    def flush(self) -> Optional[pd.DataFrame]:
+    def flush(self) -> Optional[Batch]:
         """Final emission after all upstreams closed; None if nothing."""
         return None
 
@@ -50,45 +56,80 @@ class Operator(ABC):
         return 0
 
 
-class _JoinSide:
-    """One side of a symmetric hash join, held column by column.
+class _Columns:
+    """Named columns in numpy buffers whose capacity doubles, so appends
+    cost O(rows) amortised and the rows are held once in RAM."""
 
-    Each column lives in a numpy buffer whose capacity doubles, so appends
-    cost O(batch) amortised and the side is held once in RAM. Every row's
-    key hash (:func:`partition.key_hash`) feeds a sorted (hash, position)
-    index; the next probe stably sorts the rows appended since the last
-    one and merges them in, so equal hashes stay in insertion order. A
-    probe is two ``searchsorted`` calls plus a ``repeat``/``cumsum``
-    expansion of the matching runs — no Python loop over keys.
+    def __init__(self) -> None:
+        self.n = 0
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def append(self, cols: dict[str, np.ndarray], rows: int) -> None:
+        """Add ``rows`` rows given as ``{column: values}``."""
+        end = self.n + rows
+        for c, vals in cols.items():
+            buf = self._bufs.get(c, vals[:0])
+            # A batch whose column is wider than the buffer (float into
+            # int, say) widens the buffer as pd.concat would.
+            if len(buf) < end or not np.can_cast(vals.dtype, buf.dtype):
+                cap = len(buf) if len(buf) >= end else max(end, 2 * len(buf))
+                dtype = np.result_type(buf.dtype, vals.dtype)
+                buf = _grown(buf, self.n, cap, dtype)
+            buf[self.n:end] = vals
+            self._bufs[c] = buf
+        self.n = end
+
+    def __contains__(self, c: str) -> bool:
+        return c in self._bufs
+
+    def column(self, c: str) -> np.ndarray:
+        return self._bufs[c][: self.n]
+
+    def take(self, pos: np.ndarray) -> dict[str, np.ndarray]:
+        """Rows ``pos`` as ``{column: values}``."""
+        return {c: buf[pos] for c, buf in self._bufs.items()}
+
+
+def _grown(buf: np.ndarray, n: int, cap: int, dtype) -> np.ndarray:
+    """A ``cap``-row buffer of ``dtype`` holding ``buf``'s first n rows."""
+    out = np.empty(cap, dtype=dtype)
+    out[:n] = buf[:n]
+    return out
+
+
+class _JoinSide:
+    """One side of a symmetric hash join, held column by column in
+    :class:`_Columns`.
+
+    Every row's key hash (:func:`partition.key_hash`) feeds a sorted
+    (hash, position) index; the next probe stably sorts the rows appended
+    since the last one and merges them in, so equal hashes stay in
+    insertion order. A probe is two ``searchsorted`` calls plus a
+    ``repeat``/``cumsum`` expansion of the matching runs — no Python loop
+    over keys.
     """
 
     def __init__(self, keys: list[str]) -> None:
         self.keys = keys
-        self.n = 0
-        self._cols: dict[str, np.ndarray] = {}
+        self.cols = _Columns()
         self._hash = np.empty(0, dtype=np.uint64)
         self._idx_hash = np.empty(0, dtype=np.uint64)
         self._idx_pos = np.empty(0, dtype=np.int64)
         self._nbytes = 0
 
+    @property
+    def n(self) -> int:
+        return self.cols.n
+
     def append(self, cols: dict[str, np.ndarray], width: int, h: np.ndarray) -> None:
         """Add rows given as ``{column: values}``, ``width`` bytes each,
         whose key hashes are ``h``."""
         end = self.n + len(h)
-        cap = len(self._hash)
-        if end > cap:
-            cap = max(end, 2 * cap)
+        if end > len(self._hash):
+            cap = max(end, 2 * len(self._hash))
             self._hash = _grown(self._hash, self.n, cap, np.uint64)
         self._hash[self.n:end] = h
-        for c, vals in cols.items():
-            buf = self._cols.get(c, vals[:0])
-            # A batch whose column is wider than the buffer (float into
-            # int, say) widens the buffer as pd.concat would.
-            if len(buf) < cap or not np.can_cast(vals.dtype, buf.dtype):
-                dtype = np.result_type(buf.dtype, vals.dtype)
-                buf = self._cols[c] = _grown(buf, self.n, cap, dtype)
-            buf[self.n:end] = vals
-        self.n = end
+        self.cols.append(cols, len(h))
         self._nbytes += width * len(h)
 
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,22 +169,8 @@ class _JoinSide:
         mine = idx_pos[np.arange(total) - np.repeat(first - lo, cnt)]
         return mine, theirs
 
-    def column(self, c: str) -> np.ndarray:
-        return self._cols[c][: self.n]
-
-    def take(self, pos: np.ndarray) -> dict[str, np.ndarray]:
-        """Rows ``pos`` as ``{column: values}``."""
-        return {c: buf[pos] for c, buf in self._cols.items()}
-
     def nbytes(self) -> int:
         return self._nbytes
-
-
-def _grown(buf: np.ndarray, n: int, cap: int, dtype) -> np.ndarray:
-    """A ``cap``-row buffer of ``dtype`` holding ``buf``'s first n rows."""
-    out = np.empty(cap, dtype=dtype)
-    out[:n] = buf[:n]
-    return out
 
 
 class SymmetricHashJoin(Operator):
@@ -159,10 +186,12 @@ class SymmetricHashJoin(Operator):
     byte-identical.
 
     The join works on column arrays: it reads each input column once and
-    emits a standalone :class:`~repro.engine.util.ColumnBatch`. ``post``
-    is an optional fused stateless map/filter over emitted rows; it gets
-    them as a frame and its output is emitted. The plan builder
-    guarantees the two sides have disjoint column names.
+    emits a standalone :class:`~repro.engine.util.ColumnBatch`, the left
+    input's columns first. ``select`` projects it: only the named
+    columns are gathered, in that order. ``post`` is an optional fused
+    stateless map/filter over emitted rows, for what a projection cannot
+    express; it gets them as a frame and its output is emitted. The plan
+    builder guarantees the two sides have disjoint column names.
     """
 
     def __init__(
@@ -170,8 +199,18 @@ class SymmetricHashJoin(Operator):
         left_on: list[str],
         right_on: list[str],
         post: Optional[MapFn] = None,
+        select: Optional[list[str]] = None,
     ) -> None:
+        if select is not None:
+            if post is not None:
+                raise ValueError("a join takes select or post, not both")
+            if not select:
+                raise ValueError("a join's select names no column")
+            dups = sorted({c for c in select if select.count(c) > 1})
+            if dups:
+                raise ValueError(f"a join's select names {dups} more than once")
         self.left_on, self.right_on, self.post = left_on, right_on, post
+        self.select = select
         self._sides = [_JoinSide(left_on), _JoinSide(right_on)]
 
     def on_batch(self, upstream_idx: int, batch: Batch) -> Optional[Batch]:
@@ -194,11 +233,7 @@ class SymmetricHashJoin(Operator):
         if hit is not None:
             opos, ppos = self._verified(hit, other, batch, cols, mine.keys)
             if len(opos):
-                left = {c: vals[ppos] for c, vals in cols.items()}
-                right = other.take(opos)
-                if upstream_idx == 1:  # keep left columns first
-                    left, right = right, left
-                out = {**left, **right}
+                out = self._gathered(upstream_idx, cols, ppos, other.cols, opos)
         mine.append(cols, batch.width, h)
         if out is None:
             return None
@@ -209,6 +244,26 @@ class SymmetricHashJoin(Operator):
         out = self.post(pd.DataFrame(out, copy=False))
         return out if out is not None and len(out) else None
 
+    def _gathered(self, upstream_idx: int, cols, ppos, stored: _Columns, opos):
+        """The output columns of matched pairs (probe rows ``ppos`` of
+        ``cols``, stored rows ``opos``): the selected ones in order, else
+        every column, the left input's first."""
+        if self.select is None:
+            left = {c: vals[ppos] for c, vals in cols.items()}
+            right = stored.take(opos)
+            if upstream_idx == 1:
+                left, right = right, left
+            return {**left, **right}
+        out = {}
+        for c in self.select:
+            if c in cols:
+                out[c] = cols[c][ppos]
+            elif c in stored:
+                out[c] = stored.column(c)[opos]
+            else:
+                raise ValueError(f"a join's select names {c!r}, which neither input has")
+        return out
+
     @staticmethod
     def _verified(hit, other: _JoinSide, batch: ColumnBatch, cols, keys: list[str]):
         """Drop hash-equal pairs whose real keys differ. Equal hashes imply
@@ -217,16 +272,39 @@ class SymmetricHashJoin(Operator):
         opos, ppos = hit
         if len(keys) == 1 and (
             batch.column(keys[0]).dtype.kind in "iu"
-            and other.column(other.keys[0]).dtype.kind in "iu"
+            and other.cols.column(other.keys[0]).dtype.kind in "iu"
         ):
             return opos, ppos
         keep = np.ones(len(opos), dtype=bool)
         for ok, pk in zip(other.keys, keys):
-            keep &= other.column(ok)[opos] == cols[pk][ppos]
+            keep &= other.cols.column(ok)[opos] == cols[pk][ppos]
         return opos[keep], ppos[keep]
 
     def state_nbytes(self) -> int:
         return self._sides[0].nbytes() + self._sides[1].nbytes()
+
+
+class _View:
+    """A batch's columns as aggregate expressions read them: ``d.col``
+    and ``d["col"]`` are the column's array and ``len(d)`` is the row
+    count, so ``d.a * (1 - d.b)`` is numpy arithmetic."""
+
+    __slots__ = ("_batch",)
+
+    def __init__(self, batch: ColumnBatch) -> None:
+        self._batch = batch
+
+    def __len__(self) -> int:
+        return len(self._batch)
+
+    def __getitem__(self, name: str):
+        return self._batch.column(name)
+
+    def __getattr__(self, name: str):
+        try:
+            return self._batch.column(name)
+        except ValueError:
+            raise AttributeError(name) from None
 
 
 class HashAgg(Operator):
@@ -239,82 +317,135 @@ class HashAgg(Operator):
     * ``partial``: accumulates partial sums per group from raw rows and
       emits them only at flush — the *aggregation pushdown* the paper
       credits for Quokka's near-zero spool volume on TPC-H Q1/Q6.
-    * ``final``: merges partial frames (or raw rows when no pushdown,
+    * ``final``: merges partial outputs (or raw rows when no pushdown,
       the Trino-sim plan shape), then applies ``derived`` at flush.
 
-    ``aggs`` maps output column -> expression over the input batch.
-    ``raw`` distinguishes a final agg fed raw rows (compute expressions)
-    from one fed partials (columns already computed; just sum).
-    """
+    ``aggs`` maps output column -> expression over a :class:`_View` of
+    the input batch, returning an array. ``raw`` distinguishes a final
+    agg fed raw rows (compute expressions) from one fed partials
+    (columns already computed; just sum).
 
-    _DUMMY = "__g"
+    The state is the key and value columns of every contribution in
+    :class:`_Columns` buffers. Compaction reduces them to one row per
+    group, in ``groupby(sort=True)`` order: rows with an NA key are
+    dropped, each key's factorised codes combine lexicographically into a
+    group code (:func:`_groups`), and ``np.add.reduceat`` sums each run
+    of a stable sort by it. Integer sums are exact and keep their dtype
+    (bool sums become int64); float sums skip NaN, as pandas' do, but are
+    not compensated, so they may differ from pandas' in the last bits.
+    """
 
     def __init__(
         self,
         keys: list[str],
-        aggs: dict[str, Callable[[pd.DataFrame], pd.Series]],
+        aggs: dict[str, Callable[[_View], np.ndarray]],
         *,
         raw: bool = True,
         derived: Optional[MapFn] = None,
     ) -> None:
         self.keys, self.aggs, self.raw, self.derived = keys, aggs, raw, derived
-        self._chunks: list[pd.DataFrame] = []
-        self._rows = 0
+        self._state = _Columns()
+        self._nbytes = 0
 
     _COMPACT_ROWS = 20_000  # amortised re-aggregation threshold
+    #: A keyless aggregation sizes its state as if every row also held an
+    #: int64 group id, so its checkpoint cost follows the same rows ×
+    #: width model as a keyed one's.
+    _DUMMY_WIDTH = 8
 
-    def _contrib(self, pdf: pd.DataFrame) -> pd.DataFrame:
-        if self.raw:
-            data = {k: pdf[k] for k in self.keys}
-            for col, fn in self.aggs.items():
-                data[col] = np.asarray(fn(pdf))
-            out = pd.DataFrame(data)
-        else:
-            out = pdf[self.keys + list(self.aggs)].copy()
-        if not self.keys:
-            out[self._DUMMY] = 0
-        return out
-
-    def _compact(self) -> Optional[pd.DataFrame]:
-        if not self._chunks:
-            return None
-        merged = (
-            self._chunks[0]
-            if len(self._chunks) == 1
-            else pd.concat(self._chunks, ignore_index=True)
-        )
-        gkeys = self.keys if self.keys else [self._DUMMY]
-        out = merged.groupby(gkeys, as_index=False, sort=True).sum()
-        self._chunks = [out]
-        self._rows = len(out)
-        return out
+    def _width(self, cols: dict[str, np.ndarray]) -> int:
+        """Bytes per row of state holding ``cols``."""
+        width = sum(dtype_width(v.dtype) for v in cols.values())
+        return width if self.keys else width + self._DUMMY_WIDTH
 
     def on_batch(self, upstream_idx: int, batch: Batch) -> None:
         if batch is None or len(batch) == 0:
             return None
-        contrib = self._contrib(as_frame(batch))
-        self._chunks.append(contrib)
-        self._rows += len(contrib)
+        d = _View(as_columns(batch))
+        cols = {k: d[k] for k in self.keys}
+        for col, fn in self.aggs.items():
+            cols[col] = np.asarray(fn(d)) if self.raw else d[col]
+        for k, v in cols.items():
+            if not isinstance(v, np.ndarray):
+                raise TypeError(f"HashAgg column {k!r} is a {v.dtype} array, not numpy")
+        self._state.append(cols, len(batch))
+        self._nbytes += self._width(cols) * len(batch)
         # Amortised compaction keeps the state variable bounded by the
         # group count (the paper's hash-table-state model) without a full
         # re-aggregation per batch; thresholds are deterministic, so
         # replayed consumption sequences compact identically.
-        if self._rows >= self._COMPACT_ROWS:
+        if self._state.n >= self._COMPACT_ROWS:
             self._compact()
         return None
 
-    def flush(self) -> Optional[pd.DataFrame]:
-        out = self._compact()
-        if out is None:
+    def _compact(self) -> None:
+        st = self._state
+        order, starts = _groups([st.column(k) for k in self.keys], st.n)
+        at = order[starts]
+        out = {k: st.column(k)[at] for k in self.keys}
+        for c in self.aggs:
+            v = st.column(c)
+            if v.dtype.kind == "f":
+                v = np.where(np.isnan(v), v.dtype.type(0), v)
+            dtype = np.int64 if v.dtype == bool else v.dtype
+            out[c] = np.add.reduceat(v[order], starts, dtype=dtype)
+        self._state = _Columns()
+        self._state.append(out, len(starts))
+        self._nbytes = self._width(out) * len(starts)
+
+    def flush(self) -> Optional[Batch]:
+        if not self._state.n:
             return None
-        if not self.keys:
-            out = out.drop(columns=[self._DUMMY])
-        if self.derived is not None:
-            out = self.derived(out)
+        self._compact()
+        if not self._state.n:
+            return None
+        out = {c: self._state.column(c) for c in self.keys + list(self.aggs)}
+        if self.derived is None:
+            return ColumnBatch.of_arrays(out)
+        out = self.derived(pd.DataFrame(out))
         return out if len(out) else None
 
     def state_nbytes(self) -> int:
-        return sum(pdf_nbytes(c) for c in self._chunks)
+        return self._nbytes
+
+
+def _groups(keys: list[np.ndarray], rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the positions of the ``rows`` rows whose keys are
+    all non-NA, stably sorted by key tuple as ``groupby(sort=True)``
+    sorts groups, and the position in ``order`` where each group
+    begins. No keys make one group of every row.
+
+    Each key is factorised with ``pd.factorize(sort=True)``, groupby's
+    own factoriser: NA (None, NaN, NaT) gets code -1, and hashing finds
+    the groups of an object column many times faster than sorting its
+    Python strings would. The codes combine lexicographically into one
+    group code per row."""
+    if not rows:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if not keys:
+        return np.arange(rows), np.zeros(1, dtype=np.int64)
+    codes, span = None, 1
+    na = np.zeros(rows, dtype=bool)
+    for k in keys:
+        c, uniq = pd.factorize(k, sort=True)
+        na |= c < 0
+        if span * len(uniq) > np.iinfo(np.int64).max:
+            # Renumber the groups seen so far densely so the combined
+            # code cannot overflow.
+            _, codes = np.unique(codes, return_inverse=True)
+            span = int(codes.max()) + 1
+        codes = c if codes is None else codes * len(uniq) + c
+        span *= len(uniq)
+    if na.any():
+        keep = np.flatnonzero(~na)
+        order = keep[np.argsort(codes[keep], kind="stable")]
+        if not len(order):
+            return order, order
+    else:
+        order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
+    return order, starts
 
 
 class TopK(Operator):

@@ -85,6 +85,16 @@ def hash_indices(batch: Batch, cols: list[str], n: int) -> np.ndarray:
     return (_mix64(key_hash(batch, cols)) % np.uint64(n)).astype(np.int64)
 
 
+def slice_order(idx: np.ndarray, n: int) -> np.ndarray:
+    """The stable argsort of channel indices ``idx`` in ``[0, n)``.
+
+    It sorts a copy in the narrowest unsigned type that holds ``n - 1``:
+    numpy radix-sorts 8- and 16-bit integers, several times faster than
+    its comparison sort of int64, and a stable sort's permutation does
+    not depend on the dtype it sorts."""
+    return np.argsort(idx.astype(np.min_scalar_type(n - 1)), kind="stable")
+
+
 def partition(
     batch: Optional[Batch], cols: list[str], n: int
 ) -> list[Optional[ColumnBatch]]:
@@ -109,7 +119,7 @@ def partition(
     # One stable argsort, then every slice gathers its rows of each
     # column; stability preserves within-slice row order, keeping slices
     # replay-identical.
-    order = np.argsort(idx, kind="stable")
+    order = slice_order(idx, n)
     bounds = np.searchsorted(idx[order], np.arange(n + 1)).tolist()
     for i in range(n):
         a, b = bounds[i], bounds[i + 1]

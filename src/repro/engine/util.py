@@ -45,8 +45,8 @@ class ColumnBatch:
     A batch read from a frame keeps it as ``src``, with ``pos`` the rows'
     positions in it (None for the whole frame), and materialises with one
     ``take``. A batch with no ``src`` is standalone — a gathered
-    concatenation, a join output or a slice of one — and materialises as
-    one consolidated frame.
+    concatenation, a join or aggregation output, or a slice of one — and
+    materialises as one consolidated frame.
     """
 
     __slots__ = ("names", "cols", "rows", "width", "src", "pos")

@@ -63,7 +63,12 @@ def assert_equivalent(result, sql: str, **tables) -> None:
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = _to_pandas(result)
+    assert_same_rows(_to_pandas(result), expected)
+
+
+def assert_same_rows(got: pd.DataFrame, expected: pd.DataFrame) -> None:
+    """Assert two result frames hold the same rows in any order, floats
+    within the oracle's relative tolerance."""
     if len(expected) == 0 and len(got) == 0:
         # An all-empty streamed result carries no schema; empty == empty.
         return

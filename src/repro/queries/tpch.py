@@ -31,7 +31,9 @@ from ..engine.plan import OpStage, Plan, ScanStage
 D = pd.Timestamp  # date literal shorthand for map closures
 
 
-def _rev(df: pd.DataFrame) -> pd.Series:
+def _rev(df):
+    """Discounted revenue, over a frame (scan and join maps) or over the
+    column arrays an aggregate expression reads."""
     return df.l_extendedprice * (1 - df.l_discount)
 
 
@@ -39,13 +41,17 @@ def _agg_stages(
     stages: list,
     upstream: int,
     keys: list[str],
-    aggs: dict[str, Callable[[pd.DataFrame], pd.Series]],
+    aggs: dict[str, Callable],
     *,
     pushdown: bool,
     derived=None,
     final_width: int | None = None,
 ) -> None:
-    """Append (partial?) + final aggregation stages to ``stages``."""
+    """Append (partial?) + final aggregation stages to ``stages``.
+
+    ``aggs`` maps each output column to an expression over the input's
+    column arrays (``d.col``, ``d["col"]``, ``len(d)``; see
+    :class:`~repro.engine.operators.HashAgg`)."""
     part_keys: list | str = keys if keys else []
     if pushdown:
         stages.append(
@@ -191,7 +197,7 @@ def _q3_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(                                      # 2: customer ⋈ orders
             make_op=lambda: SymmetricHashJoin(
                 ["c_custkey"], ["o_custkey"],
-                post=lambda d: d[["o_orderkey", "o_orderdate", "o_shippriority"]],
+                select=["o_orderkey", "o_orderdate", "o_shippriority"],
             ),
             upstreams=[0, 1],
             partition_keys=[["c_custkey"], ["o_custkey"]],
@@ -335,7 +341,7 @@ def _q5_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(                         # 2: orders ⋈ customer
             make_op=lambda: SymmetricHashJoin(
                 ["o_custkey"], ["c_custkey"],
-                post=lambda d: d[["o_orderkey", "c_nationkey"]],
+                select=["o_orderkey", "c_nationkey"],
             ),
             upstreams=[0, 1],
             partition_keys=[["o_custkey"], ["c_custkey"]],
@@ -344,9 +350,7 @@ def _q5_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(                         # 4: ⋈ lineitem
             make_op=lambda: SymmetricHashJoin(
                 ["o_orderkey"], ["l_orderkey"],
-                post=lambda d: d[
-                    ["l_suppkey", "l_extendedprice", "l_discount", "c_nationkey"]
-                ],
+                select=["l_suppkey", "l_extendedprice", "l_discount", "c_nationkey"],
             ),
             upstreams=[2, 3],
             partition_keys=[["o_orderkey"], ["l_orderkey"]],
@@ -425,7 +429,7 @@ def _q7_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(                          # 2: supplier ⋈ lineitem
             make_op=lambda: SymmetricHashJoin(
                 ["s_suppkey"], ["l_suppkey"],
-                post=lambda d: d[["l_orderkey", "supp_nation", "l_year", "volume"]],
+                select=["l_orderkey", "supp_nation", "l_year", "volume"],
             ),
             upstreams=[0, 1],
             partition_keys=[["s_suppkey"], ["l_suppkey"]],
@@ -434,7 +438,7 @@ def _q7_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(                          # 4: ⋈ orders
             make_op=lambda: SymmetricHashJoin(
                 ["l_orderkey"], ["o_orderkey"],
-                post=lambda d: d[["o_custkey", "supp_nation", "l_year", "volume"]],
+                select=["o_custkey", "supp_nation", "l_year", "volume"],
             ),
             upstreams=[2, 3],
             partition_keys=[["l_orderkey"], ["o_orderkey"]],
@@ -514,7 +518,7 @@ def _q8_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(                          # 2: part ⋈ lineitem
             make_op=lambda: SymmetricHashJoin(
                 ["p_partkey"], ["l_partkey"],
-                post=lambda d: d[["l_orderkey", "l_suppkey", "volume"]],
+                select=["l_orderkey", "l_suppkey", "volume"],
             ),
             upstreams=[0, 1],
             partition_keys=[["p_partkey"], ["l_partkey"]],
@@ -523,7 +527,7 @@ def _q8_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(                          # 4: ⋈ orders
             make_op=lambda: SymmetricHashJoin(
                 ["l_orderkey"], ["o_orderkey"],
-                post=lambda d: d[["o_custkey", "o_year", "l_suppkey", "volume"]],
+                select=["o_custkey", "o_year", "l_suppkey", "volume"],
             ),
             upstreams=[2, 3],
             partition_keys=[["l_orderkey"], ["o_orderkey"]],
@@ -603,10 +607,8 @@ def _q9_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(                          # 2: part ⋈ lineitem
             make_op=lambda: SymmetricHashJoin(
                 ["p_partkey"], ["l_partkey"],
-                post=lambda d: d[
-                    ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
-                     "l_extendedprice", "l_discount"]
-                ],
+                select=["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
+                        "l_extendedprice", "l_discount"],
             ),
             upstreams=[0, 1],
             partition_keys=[["p_partkey"], ["l_partkey"]],
@@ -674,7 +676,7 @@ def _q12_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(
             make_op=lambda: SymmetricHashJoin(
                 ["o_orderkey"], ["l_orderkey"],
-                post=lambda d: d[["l_shipmode", "o_orderpriority"]],
+                select=["l_shipmode", "o_orderpriority"],
             ),
             upstreams=[0, 1],
             partition_keys=[["o_orderkey"], ["l_orderkey"]],
@@ -682,8 +684,8 @@ def _q12_plan(db: dict, pushdown: bool) -> Plan:
     ]
     high = ["1-URGENT", "2-HIGH"]
     aggs = {
-        "high_line_count": lambda d: d.o_orderpriority.isin(high).astype("int64"),
-        "low_line_count": lambda d: (~d.o_orderpriority.isin(high)).astype("int64"),
+        "high_line_count": lambda d: np.isin(d.o_orderpriority, high).astype(np.int64),
+        "low_line_count": lambda d: (~np.isin(d.o_orderpriority, high)).astype(np.int64),
     }
     _agg_stages(stages, 2, ["l_shipmode"], aggs, pushdown=pushdown)
     return Plan("q12", stages)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine import operators
 from repro.engine.operators import HashAgg, SymmetricHashJoin, TopK
-from repro.engine.util import as_frame, pdf_nbytes
+from repro.engine.util import ColumnBatch, as_frame, pdf_nbytes, row_nbytes
 
 
 def _sorted(df, cols=None):
@@ -91,6 +91,47 @@ def test_join_post_map_applied(left_batches, right_batches):
     if len(got):
         assert list(got.columns) == ["lk", "lv"]
         assert (got.lv > 0.5).all()
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_join_select_equals_projection_post(left_batches, right_batches, first):
+    """``select`` gives the frame a projecting ``post`` gave, as a column
+    batch of the same width, whichever side probes."""
+    cols = ["rv", "lk", "lv"]
+    feed = [(0, b) for b in left_batches[:2]] + [(1, b) for b in right_batches[:2]]
+    if first == 1:
+        feed = feed[2:] + feed[:2]
+    feed += [(0, left_batches[2]), (1, right_batches[2])]
+    sel = SymmetricHashJoin(["lk"], ["rk"], select=cols)
+    post = SymmetricHashJoin(["lk"], ["rk"], post=lambda d: d[cols])
+    emitted = 0
+    for side, batch in feed:
+        a, b = sel.on_batch(side, batch), post.on_batch(side, batch)
+        assert (a is None) == (b is None)
+        if a is None:
+            continue
+        emitted += 1
+        assert isinstance(a, ColumnBatch) and a.names == cols
+        assert row_nbytes(a) == row_nbytes(b)
+        pd.testing.assert_frame_equal(as_frame(a), b.reset_index(drop=True))
+        assert sel.state_nbytes() == post.state_nbytes()
+    assert emitted >= 2
+
+
+def test_join_select_rejects_bad_projections():
+    with pytest.raises(ValueError, match="not both"):
+        SymmetricHashJoin(["lk"], ["rk"], post=lambda d: d, select=["lk"])
+    with pytest.raises(ValueError, match="no column"):
+        SymmetricHashJoin(["lk"], ["rk"], select=[])
+    with pytest.raises(ValueError, match=r"\['lv'\] more than once"):
+        SymmetricHashJoin(["lk"], ["rk"], select=["lv", "rk", "lv"])
+
+
+def test_join_select_of_a_missing_column_fails_at_first_output():
+    j = SymmetricHashJoin(["lk"], ["rk"], select=["lv", "nope"])
+    assert j.on_batch(0, pd.DataFrame({"lk": [1], "lv": [0.5]})) is None
+    with pytest.raises(ValueError, match="'nope'"):
+        j.on_batch(1, pd.DataFrame({"rk": [1], "rv": [2.0]}))
 
 
 def test_join_empty_batches_are_noops():
@@ -229,7 +270,7 @@ def test_join_state_nbytes_equals_appended_batch_sizes(left_batches, right_batch
 def _agg_feed(agg, batches):
     for b in batches:
         assert agg.on_batch(0, b) is None  # aggs emit only at flush
-    return agg.flush()
+    return as_frame(agg.flush())
 
 
 def test_hashagg_grouped_sums():
@@ -273,7 +314,7 @@ def test_hashagg_partial_then_final():
     final = HashAgg(["k"], {"s": lambda d: d.s}, raw=False)
     for p in partials:
         final.on_batch(0, p)
-    got = final.flush()
+    got = as_frame(final.flush())
     expected = (
         pd.concat(batches).groupby("k").v.sum().reset_index(name="s")
     )

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.engine.partition import hash_indices, partition
+from repro.engine.partition import hash_indices, partition, slice_order
 
 
 def frames(slices):
@@ -98,3 +98,20 @@ def test_empty_slices_are_none(pdf):
     slices = frames(partition(pdf.head(10), ["k"], 64))
     assert any(s is None for s in slices)
     assert sum(len(s) for s in slices if s is not None) == 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_slice_order_is_the_int64_stable_argsort(pdf, n):
+    """The radix sort of a narrow copy gives the comparison sort's
+    permutation, so slices are unchanged."""
+    idx = hash_indices(pdf, ["k", "s"], n)
+    assert idx.dtype == np.int64
+    want = np.argsort(idx, kind="stable")
+    np.testing.assert_array_equal(slice_order(idx, n), want)
+    if n > 1:
+        for ch, s in enumerate(partition(pdf, ["k", "s"], n)):
+            rows = want[idx[want] == ch]
+            assert s is not None
+            pd.testing.assert_frame_equal(
+                s.to_frame(), pdf.take(rows).reset_index(drop=True)
+            )

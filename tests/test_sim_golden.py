@@ -8,7 +8,11 @@ normally and with worker 1 killed at half the normal run's sim time.
 ``GOLDEN_WIDE`` was recorded before join morsels became column batches:
 q12 and q14 on 16 workers (joins with a ``post`` map), and q3 with
 worker 1 killed under output spooling (sized with ``pdf_nbytes``) and
-under state checkpointing (sized with ``state_nbytes``). The SHA-256 of
+under state checkpointing (sized with ``state_nbytes``). The q1 and q6
+pins (fused scan, partial ``HashAgg``, final ``HashAgg``: the plan shape
+of the ``agg-32w`` benchmark workload) on 8 workers, normally and with
+worker 1 killed, under backups and under checkpointing, were recorded
+before ``HashAgg`` moved from pandas to column arrays. The SHA-256 of
 each run's GCS journal was recorded before replays and rescans became
 kinds of the executor's one task record: a reordering of GCS writes that
 leaves the counts equal shows there.
@@ -41,6 +45,22 @@ GOLDEN_WIDE = {
         "e8fd8b6161a85a8ac1978f2f108d1dcb5dadaa9faff8aadbb038478a766841d7"),
     ("q3", True, 4, "checkpoint"): (13.122314133333314, 222, 282, 90, 10,
         "31645a00ce2f228acac87f94b8d2f65b1d5d1099b53db743cc3f5fb91f7a3989"),
+    ("q1", False, 8, "wal"): (2.4208034285714235, 152, 192, 0, 0,
+        "9c2a9f5723f06ab6b35ba31c662f1079ab12948aec9b8c65a1d3aad96986921a"),
+    ("q1", True, 8, "wal"): (5.724285142857142, 152, 199, 28, 0,
+        "a00e2cce0df902c0a6377b6afe5bb357bc46725bf783dc19f6a8968ee64bc869"),
+    ("q1", False, 8, "checkpoint"): (2.592536761904757, 152, 192, 0, 0,
+        "9c2a9f5723f06ab6b35ba31c662f1079ab12948aec9b8c65a1d3aad96986921a"),
+    ("q1", True, 8, "checkpoint"): (5.854845142857142, 152, 199, 28, 0,
+        "a00e2cce0df902c0a6377b6afe5bb357bc46725bf783dc19f6a8968ee64bc869"),
+    ("q6", False, 8, "wal"): (1.935870476190476, 65, 98, 0, 0,
+        "54b463a8f999aa3210881b53eb220bd0edc751f23d49c9753370a4cbc652baf8"),
+    ("q6", True, 8, "wal"): (4.752087847619047, 65, 104, 0, 0,
+        "5fa6fb818374a1cb020eb05a8b8d33613fcd0097092c60a89fb11fde62699d3f"),
+    ("q6", False, 8, "checkpoint"): (2.098003809523808, 65, 98, 0, 0,
+        "54b463a8f999aa3210881b53eb220bd0edc751f23d49c9753370a4cbc652baf8"),
+    ("q6", True, 8, "checkpoint"): (4.874007847619048, 65, 104, 0, 0,
+        "5fa6fb818374a1cb020eb05a8b8d33613fcd0097092c60a89fb11fde62699d3f"),
 }
 
 
