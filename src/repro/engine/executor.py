@@ -68,7 +68,7 @@ from .operators import Operator
 from .partition import partition
 from .plan import OpStage, Plan, ScanStage
 from .simtime import CostModel
-from .util import Batch, ColumnBatch, as_frame, concat_batches, pdf_nbytes, row_nbytes
+from .util import Batch, as_frame, concat_batches, pdf_nbytes, row_nbytes
 
 #: Task slots per worker (TaskManager threads of one r6id instance).
 SLOTS_PER_WORKER = 2
@@ -185,15 +185,9 @@ class ChannelRt:
         self.started = False
         self.done = False
         self.exec_count = 0
-
-    def avail(self, u: ChannelId) -> int:
-        """Consecutive inputs from ``u`` present at the watermark."""
-        box = self.inbox.get(u, {})
-        w = self.watermark.get(u, 0)
-        n = 0
-        while (w + n) in box:
-            n += 1
-        return n
+        #: something a build reads changed since the last build (see
+        #: :meth:`Executor._mark`)
+        self.dirty = True
 
 
 class Executor:
@@ -358,7 +352,7 @@ class Executor:
                 f"{self.plan.name}: deadlock, channels not done: {not_done[:8]} "
                 f"(of {len(not_done)}); paused={self.paused}"
             )
-        frames = [self.client[k] for k in sorted(self.client, key=lambda k: (k[0], k[1]))]
+        frames = [self.client[k] for k in sorted(self.client)]
         merged = concat_batches(frames)
         df = pd.DataFrame() if merged is None else as_frame(merged)
         self.stats["exec_count"] = {
@@ -378,20 +372,18 @@ class Executor:
                     return False
         return True
 
-    def _schedule_pass(self, now: float, wids: Optional[set[int]] = None) -> None:
-        """Try to fill free slots. ``wids`` limits the scan to workers
-        whose state may have changed (their task finished, or a channel
-        they host just received a delivery/commit) — every event that can
-        make a channel runnable touches its worker, so dormant workers
-        need no re-scan."""
+    def _mark(self, cid: ChannelId) -> None:
+        """Let ``cid`` be built again: something its build reads changed
+        (a delivery, its own completion, an upstream's close, recovery).
+        A clean channel's build would return no task, so it is skipped."""
+        self.channels[cid].dirty = True
+
+    def _schedule_pass(self, now: float) -> None:
+        """Fill the free slots of every live worker: queued recovery
+        tasks first, then marked channels round-robin."""
         if self.paused:
             return
-        workers = (
-            self.workers
-            if wids is None
-            else [self.workers[i] for i in sorted(wids)]
-        )
-        for w in workers:
+        for w in self.workers:
             if not w.alive:
                 continue
             while w.free_slots > 0:
@@ -411,8 +403,9 @@ class Executor:
         for off in range(n):
             cid = cids[(start + off) % n]
             rt = self.channels[cid]
-            if rt.active or rt.done:
+            if rt.active or rt.done or not rt.dirty:
                 continue
+            rt.dirty = False
             task = self._build_task(rt)
             if task is not None:
                 self._cursor[w.wid] = (start + off + 1) % n
@@ -479,12 +472,7 @@ class Executor:
         box = rt.inbox.get(u, {})
         parts = [box.pop(s) for s in range(start, start + k)]
         merged = concat_batches(parts)
-        # A column batch carries its row width; a frame (from a fused
-        # edge, or slices whose schemas differ and were promoted) is sized.
-        if isinstance(merged, ColumnBatch):
-            bytes_in = merged.nbytes
-        else:
-            bytes_in = pdf_nbytes(merged)
+        bytes_in = pdf_nbytes(merged)
         out = None
         if merged is not None:
             out = rt.op.on_batch(uidx, merged)
@@ -518,78 +506,59 @@ class Executor:
             outputs.append((seq, out))
         return Task("retrace", rt.cid, outputs, bytes_in=bytes_in)
 
-    def _skip_empty(self, rt: ChannelRt) -> None:
-        """Advance watermarks over empty-slice prefixes without a task.
-
-        A real engine does not push empty shuffle partitions; consuming
-        one is a no-op for the operator state, so skipping them outside
-        any task neither needs lineage (replayed outputs are unaffected)
-        nor violates the committed-lineage invariant. This is pure
-        sequence-number bookkeeping for closure detection.
-        """
+    def _build_streaming(self, rt: ChannelRt) -> Optional[Task]:
+        """Take one upstream's run of inputs, or flush, in one walk over
+        the upstreams. An empty-slice prefix at a watermark is skipped
+        without a task: a real engine does not push empty shuffle
+        partitions, and consuming one leaves the operator state as it
+        was, so it needs no lineage. A run is taken when it holds
+        ``need`` inputs or all that its closed upstream has left, up to
+        ``cap``; the richest run wins, the first on a tie."""
+        if self.cfg.dep_mode == "static":
+            need = cap = self.cfg.static_batch
+        else:
+            need, cap = DYNAMIC_MIN, None
+        best_u, best_take, drained = None, 0, True
         for u in rt.upstream_cids:
-            box = rt.inbox.get(u)
-            if not box:
-                continue
-            w = rt.watermark.get(u, 0)
-            moved = False
+            box = rt.inbox.get(u, {})
+            w = w0 = rt.watermark.get(u, 0)
             while w in box and box[w] is None:
                 del box[w]
                 w += 1
-                moved = True
-            if moved:
+            if w != w0:
                 rt.watermark[u] = w
-
-    def _build_streaming(self, rt: ChannelRt) -> Optional[Task]:
-        self._skip_empty(rt)
-        best_u, best_avail = None, 0
-        all_closed_and_drained = True
-        for u in rt.upstream_cids:
-            avail = rt.avail(u)
+            avail = 0
+            while (w + avail) in box:
+                avail += 1
             closed = self.store.closed_total(u)
-            if closed is None or rt.watermark.get(u, 0) + avail < closed:
-                all_closed_and_drained = False
-            remaining = None if closed is None else closed - rt.watermark.get(u, 0)
-            drained_u = remaining is not None and avail == remaining and avail > 0
-            if self.cfg.dep_mode == "static":
-                if avail >= self.cfg.static_batch:
-                    take = self.cfg.static_batch
-                elif drained_u:
-                    take = avail
-                else:
-                    take = 0
-            else:
-                take = avail if (avail >= DYNAMIC_MIN or drained_u) else 0
-            if take > best_avail:
-                best_u, best_avail = u, take
+            if closed is None or w + avail < closed:
+                drained = False
+            if avail >= need or (closed is not None and avail == closed - w):
+                take = avail if cap is None else min(avail, cap)
+                if take > best_take:
+                    best_u, best_take = u, take
 
         if best_u is not None:
             start = rt.watermark.get(best_u, 0)
-            out, bytes_in = self._gather(self.store, rt, best_u, start, best_avail)
+            out, bytes_in = self._gather(self.store, rt, best_u, start, best_take)
             return Task(
                 "stream",
                 rt.cid,
                 [(rt.next_seq, out)],
-                [ConsumeLineage(best_u, start, best_avail)],
+                [ConsumeLineage(best_u, start, best_take)],
                 bytes_in,
             )
-
-        if all_closed_and_drained and not rt.flushed:
-            # All upstream outputs consumed: emit the state variable.
-            drained = all(
-                rt.watermark.get(u, 0) == self.store.closed_total(u)
-                for u in rt.upstream_cids
+        if drained and not rt.flushed:
+            # Every upstream output consumed: emit the state variable.
+            out = rt.op.flush()
+            rt.flushed = True
+            return Task(
+                "stream",
+                rt.cid,
+                [(rt.next_seq, out)],
+                [FlushLineage()],
+                close=rt.next_seq + 1,
             )
-            if drained:
-                out = rt.op.flush()
-                rt.flushed = True
-                return Task(
-                    "stream",
-                    rt.cid,
-                    [(rt.next_seq, out)],
-                    [FlushLineage()],
-                    close=rt.next_seq + 1,
-                )
         return None
 
     # ------------------------------------------------------------------ launch
@@ -737,6 +706,7 @@ class Executor:
         box = drt.inbox.setdefault(u, {})
         if seq not in box:
             box[seq] = sl
+            self._mark(dest)
 
     def _persist(self, wid: int, name: TaskName, out) -> Optional[int | str]:
         """Back up (``wal``/``checkpoint``) or spool one output and return
@@ -756,7 +726,6 @@ class Executor:
 
     def _apply_done(self, now: float, task: Task) -> None:
         wid, cid = task.worker, task.cid
-        touched: set[int] = set()
         # Backup / spool, then commit, then deliver: consumers only ever
         # see outputs whose lineage is committed (the core invariant).
         for i, (seq, out) in enumerate(task.outputs):
@@ -775,7 +744,6 @@ class Executor:
                 self.client.setdefault((cid, seq), out)
         for dest, u, seq, sl in task.deliveries:
             self._deliver(dest, u, seq, sl)
-            touched.add(self.channels[dest].worker)
         if task.kind in ("replay", "rescan"):
             self.stats[f"n_{task.kind}s"] += 1
         else:
@@ -783,28 +751,30 @@ class Executor:
             rt.active = False
             rt.exec_count += 1
             self.stats["n_tasks"] += 1
-            if task.close is not None and self.cfg.exec_mode == "stagewise":
-                # A channel closing can flip a whole stage to ready; wake
-                # every worker (stage-readiness is global state).
-                touched.update(w.wid for w in self.workers if w.alive)
+            self._mark(cid)
             retrace = task.kind == "retrace"
             if retrace and rt.next_seq >= len(rt.retrace_records):
                 rt.retrace_records = []
                 rt.monolithic = False
+            # A retrace never closes (its close is already committed) and
+            # no other task runs on a closed channel.
             if task.close is not None or (
-                self.store.closed_total(cid) is not None
-                and rt.next_seq >= self.store.lineage_len(cid)
+                retrace
+                and not rt.retrace_records
+                and self.store.closed_total(cid) is not None
             ):
-                if not retrace or not rt.retrace_records:
-                    rt.done = True
+                rt.done = True
+            cons = self.plan.consumer_of(cid[0])
+            if task.close is not None and cons is not None:
+                for ch in range(self.widths[cons[0]]):
+                    self._mark((cons[0], ch))
         self.workers[wid].free_slots += 1
         if self.paused:
             if self.n_active == 0 and self.pending_recover:
                 self.pending_recover = False
                 self._push(now, "recover")
         else:
-            touched.add(wid)
-            self._schedule_pass(now, touched)
+            self._schedule_pass(now)
 
     # ----------------------------------------------------------------- failure
 
@@ -894,6 +864,8 @@ class Executor:
         for r in rplan.replays:
             wid = self.channels[r.dest].worker if r.owner == DURABLE else r.owner
             self.queued[wid].append(r)
+        for cid in self.channels:
+            self._mark(cid)
         self.paused = False
         self.store.set_recovery_flag(False)
         self._schedule_pass(now)
