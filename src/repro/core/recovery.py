@@ -79,6 +79,7 @@ def plan_recovery(
     if not live_workers:
         raise RuntimeError("no live workers left; query cannot be recovered")
 
+    live = set(live_workers)
     assignments = store.assignments()
     # A := channels with outstanding tasks on failed workers (paper: "the
     # set of all tasks assigned to the failed worker"). Channels that had
@@ -117,7 +118,7 @@ def plan_recovery(
             for seq in range(len(lineage)):
                 name = (u[0], u[1], seq)
                 loc = store.location(name)
-                alive = loc == DURABLE or loc in set(live_workers)
+                alive = loc == DURABLE or loc in live
                 if loc is not None and alive:
                     replays[(name, cid)] = Replay(loc, name, cid)
                 elif up_stage in input_stages:
@@ -139,7 +140,7 @@ def plan_recovery(
                 if name in rescans:
                     continue
                 loc = store.location(name)
-                if loc == DURABLE or loc in set(live_workers):
+                if loc == DURABLE or loc in live:
                     continue  # replayable from a surviving copy
                 assert isinstance(rec, ScanLineage)
                 w = live_workers[rr % len(live_workers)]

@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..core.naming import TaskName
 from .simtime import Timeline
-from .util import Batch
+from .util import ColumnBatch
 
 
 class Worker:
@@ -26,9 +26,9 @@ class Worker:
         self.nic = Timeline()
         self.disk = Timeline()
         #: upstream backup: full task outputs on instance-attached NVMe.
-        self.backups: dict[TaskName, Optional[Batch]] = {}
+        self.backups: dict[TaskName, Optional[ColumnBatch]] = {}
 
-    def backup(self, name: TaskName, out: Optional[Batch]) -> None:
+    def backup(self, name: TaskName, out: Optional[ColumnBatch]) -> None:
         self.backups[name] = out
 
     def kill(self) -> None:

@@ -68,7 +68,7 @@ from .operators import Operator
 from .partition import partition
 from .plan import OpStage, Plan, ScanStage
 from .simtime import CostModel
-from .util import Batch, as_frame, concat_batches, pdf_nbytes, row_nbytes
+from .util import ColumnBatch, as_columns, concat_batches, pdf_nbytes, row_nbytes
 
 #: Task slots per worker (TaskManager threads of one r6id instance).
 SLOTS_PER_WORKER = 2
@@ -132,7 +132,7 @@ class Task:
 
     kind: str
     cid: ChannelId
-    outputs: list[tuple[int, Optional[Batch]]]
+    outputs: list[tuple[int, Optional[ColumnBatch]]]
     records: list[LineageRecord] = field(default_factory=list)
     bytes_in: int = 0
     close: Optional[int] = None
@@ -179,7 +179,7 @@ class ChannelRt:
         self.monolithic = False
         self.watermark: dict[ChannelId, int] = {}
         #: pushed inputs: slices, or whole outputs over a fused edge
-        self.inbox: dict[ChannelId, dict[int, Optional[Batch]]] = {}
+        self.inbox: dict[ChannelId, dict[int, Optional[ColumnBatch]]] = {}
         self.flushed = False
         self.active = False
         self.started = False
@@ -204,7 +204,7 @@ class Executor:
         self.cost = cfg.cost
         self.store = store or LineageStore(Gcs(cfg.journal_path))
         #: S3/HDFS-sim spooling target: survives any worker failure.
-        self.durable: dict[TaskName, Optional[Batch]] = {}
+        self.durable: dict[TaskName, Optional[ColumnBatch]] = {}
         self.workers = [Worker(i, SLOTS_PER_WORKER) for i in range(cfg.n_workers)]
         self._ran = False
 
@@ -278,12 +278,11 @@ class Executor:
         self._counter = 0
         self.paused = False
         self.pending_recover = False
-        self.dead: set[int] = set()
         #: recovery tasks waiting for a slot on each worker
         self.queued: dict[int, deque[Replay | Rescan]] = {
             w.wid: deque() for w in self.workers
         }
-        self.client: dict[tuple[ChannelId, int], Optional[Batch]] = {}
+        self.client: dict[tuple[ChannelId, int], Optional[ColumnBatch]] = {}
         #: committed watermark snapshot taken at each recovery, used by
         #: retracing producers to suppress provably-redundant re-pushes.
         self._wm_snap: dict[ChannelId, dict[ChannelId, int]] = {}
@@ -352,9 +351,8 @@ class Executor:
                 f"{self.plan.name}: deadlock, channels not done: {not_done[:8]} "
                 f"(of {len(not_done)}); paused={self.paused}"
             )
-        frames = [self.client[k] for k in sorted(self.client)]
-        merged = concat_batches(frames)
-        df = pd.DataFrame() if merged is None else as_frame(merged)
+        merged = concat_batches([self.client[k] for k in sorted(self.client)])
+        df = pd.DataFrame() if merged is None else merged.to_frame()
         self.stats["exec_count"] = {
             cid: rt.exec_count for cid, rt in self.channels.items()
         }
@@ -428,12 +426,11 @@ class Executor:
         return self._build_streaming(rt)
 
     def _scan(self, spec: ScanStage, batch_idx: int):
-        """Read one source batch through the fused map: (output or None
-        when empty, bytes read)."""
+        """Read one source batch through the fused map: (output as a
+        column batch, or None when empty; bytes read)."""
         raw = self.tables[spec.table][batch_idx]
         out = spec.map_fn(raw) if spec.map_fn else raw
-        if out is not None and len(out) == 0:
-            out = None
+        out = as_columns(out) if out is not None and len(out) else None
         return out, pdf_nbytes(raw)
 
     def _build_scan(self, rt: ChannelRt) -> Optional[Task]:
@@ -468,16 +465,11 @@ class Executor:
                 f"channel {rt.cid} would consume outputs {start}..{start + k - 1} "
                 f"of {u}, whose lineage is not all committed"
             )
-        uidx = rt.uidx[u]
         box = rt.inbox.get(u, {})
         parts = [box.pop(s) for s in range(start, start + k)]
         merged = concat_batches(parts)
         bytes_in = pdf_nbytes(merged)
-        out = None
-        if merged is not None:
-            out = rt.op.on_batch(uidx, merged)
-            if out is not None and not len(out):
-                out = None
+        out = None if merged is None else rt.op.on_batch(rt.uidx[u], merged)
         rt.watermark[u] = start + k
         return out, bytes_in
 
@@ -572,8 +564,7 @@ class Executor:
             return []
         cstage, uidx = cons
         if self.fused_out[cid[0]]:
-            sl = out if (out is not None and len(out)) else None
-            return [((cstage, cid[1]), cid, seq, sl)]
+            return [((cstage, cid[1]), cid, seq, out)]
         keys = self.plan.stages[cstage].partition_keys[uidx]
         slices = partition(out, keys, self.widths[cstage])
         return [((cstage, ch), cid, seq, sl) for ch, sl in enumerate(slices)]
@@ -785,7 +776,6 @@ class Executor:
         if all(rt.done for rt in self.channels.values()):
             return  # query already complete; nothing to recover
         w.kill()
-        self.dead.add(wid)
         self.queued[wid].clear()
         for cid in self.host[wid]:
             rt = self.channels[cid]
@@ -810,7 +800,8 @@ class Executor:
             return
         self.stats["n_recoveries"] += 1
         live = [w.wid for w in self.workers if w.alive]
-        self.store.prune_locations(self.dead)
+        dead = {w.wid for w in self.workers if not w.alive}
+        self.store.prune_locations(dead)
         self._wm_snap = {
             cid: self.store.watermark(cid) for cid in self.channels
         }
@@ -830,7 +821,7 @@ class Executor:
                 cid: rt.upstream_cids for cid, rt in self.channels.items()
             },
             input_stages=self.plan.input_stages(),
-            dead_workers=self.dead,
+            dead_workers=dead,
             live_workers=live,
             extra_dests=extra_dests,
         )

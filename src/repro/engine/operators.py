@@ -22,7 +22,7 @@ import numpy as np
 import pandas as pd
 
 from .partition import key_hash
-from .util import Batch, ColumnBatch, as_columns, as_frame, dtype_width, pdf_nbytes
+from .util import ColumnBatch, as_columns, dtype_width, pdf_nbytes
 
 MapFn = Callable[[pd.DataFrame], pd.DataFrame]
 
@@ -31,23 +31,20 @@ class Operator(ABC):
     """One channel's kernel + state variable."""
 
     @abstractmethod
-    def on_batch(self, upstream_idx: int, batch: Batch) -> Optional[Batch]:
-        """Absorb one upstream output batch; return emitted rows or None.
+    def on_batch(self, upstream_idx: int, batch: ColumnBatch) -> Optional[ColumnBatch]:
+        """Absorb one upstream output batch; return emitted rows or None,
+        never an empty batch.
 
-        ``batch`` is a frame (a scan's output over a fused edge, say) or a
-        :class:`~repro.engine.util.ColumnBatch` (a gather of shuffle
-        slices). An operator that runs pandas code builds its frame with
-        :func:`~repro.engine.util.as_frame`; one that works on arrays
-        reads them with :func:`~repro.engine.util.as_columns`. It may
-        emit either kind.
-
-        :class:`SymmetricHashJoin` and :class:`HashAgg` work on arrays
-        and emit column batches; frames are built only by a join's
-        ``post`` map, by an aggregation's ``derived`` map (once, at
-        flush) and by :class:`TopK`.
+        ``batch`` is a :class:`~repro.engine.util.ColumnBatch` (a scan's
+        output over a fused edge, or a gather of shuffle slices); None or
+        an empty batch is a no-op. Output is a column batch too. Frames
+        are built only for pandas code — a join's ``post`` map, an
+        aggregation's ``derived`` map (once, at flush) and :class:`TopK`'s
+        state — whose result re-enters the engine through
+        :func:`~repro.engine.util.as_columns`.
         """
 
-    def flush(self) -> Optional[Batch]:
+    def flush(self) -> Optional[ColumnBatch]:
         """Final emission after all upstreams closed; None if nothing."""
         return None
 
@@ -190,8 +187,9 @@ class SymmetricHashJoin(Operator):
     input's columns first. ``select`` projects it: only the named
     columns are gathered, in that order. ``post`` is an optional fused
     stateless map/filter over emitted rows, for what a projection cannot
-    express; it gets them as a frame and its output is emitted. The plan
-    builder guarantees the two sides have disjoint column names.
+    express; it gets them as a frame and its output is emitted as a
+    column batch. The plan builder guarantees the two sides have
+    disjoint column names.
     """
 
     def __init__(
@@ -213,12 +211,11 @@ class SymmetricHashJoin(Operator):
         self.select = select
         self._sides = [_JoinSide(left_on), _JoinSide(right_on)]
 
-    def on_batch(self, upstream_idx: int, batch: Batch) -> Optional[Batch]:
+    def on_batch(self, upstream_idx: int, batch: ColumnBatch) -> Optional[ColumnBatch]:
         if upstream_idx not in (0, 1):
             raise ValueError(f"join has upstreams 0/1, got {upstream_idx}")
         if batch is None or len(batch) == 0:
             return None
-        batch = as_columns(batch)
         mine = self._sides[upstream_idx]
         other = self._sides[1 - upstream_idx]
         h = key_hash(batch, mine.keys)
@@ -242,7 +239,7 @@ class SymmetricHashJoin(Operator):
         # Every column is a fresh gather, so the frame may own it as is
         # rather than copy it into consolidated blocks.
         out = self.post(pd.DataFrame(out, copy=False))
-        return out if out is not None and len(out) else None
+        return as_columns(out) if out is not None and len(out) else None
 
     def _gathered(self, upstream_idx: int, cols, ppos, stored: _Columns, opos):
         """The output columns of matched pairs (probe rows ``ppos`` of
@@ -358,10 +355,10 @@ class HashAgg(Operator):
         width = sum(dtype_width(v.dtype) for v in cols.values())
         return width if self.keys else width + self._DUMMY_WIDTH
 
-    def on_batch(self, upstream_idx: int, batch: Batch) -> None:
+    def on_batch(self, upstream_idx: int, batch: ColumnBatch) -> None:
         if batch is None or len(batch) == 0:
             return None
-        d = _View(as_columns(batch))
+        d = _View(batch)
         cols = {k: d[k] for k in self.keys}
         for col, fn in self.aggs.items():
             cols[col] = np.asarray(fn(d)) if self.raw else d[col]
@@ -393,7 +390,7 @@ class HashAgg(Operator):
         self._state.append(out, len(starts))
         self._nbytes = self._width(out) * len(starts)
 
-    def flush(self) -> Optional[Batch]:
+    def flush(self) -> Optional[ColumnBatch]:
         if not self._state.n:
             return None
         self._compact()
@@ -403,7 +400,7 @@ class HashAgg(Operator):
         if self.derived is None:
             return ColumnBatch.of_arrays(out)
         out = self.derived(pd.DataFrame(out))
-        return out if len(out) else None
+        return as_columns(out) if len(out) else None
 
     def state_nbytes(self) -> int:
         return self._nbytes
@@ -454,6 +451,8 @@ class TopK(Operator):
     Keeps the best ``k`` rows by ``sort_by``/``ascending``; the plan
     builder must include full tie-break columns so the result set is
     deterministic (required both by replay and by the DuckDB oracle).
+    The state is a frame, sorted with pandas; ``flush`` emits it as a
+    column batch.
     """
 
     def __init__(
@@ -471,10 +470,10 @@ class TopK(Operator):
         )
         self._state: Optional[pd.DataFrame] = None
 
-    def on_batch(self, upstream_idx: int, batch: Batch) -> None:
+    def on_batch(self, upstream_idx: int, batch: ColumnBatch) -> None:
         if batch is None or len(batch) == 0:
             return None
-        pdf = as_frame(batch)
+        pdf = batch.to_frame()
         merged = (
             pdf
             if self._state is None
@@ -487,13 +486,13 @@ class TopK(Operator):
         )
         return None
 
-    def flush(self) -> Optional[pd.DataFrame]:
+    def flush(self) -> Optional[ColumnBatch]:
         if self._state is None:
             return None
         out = self._state
         if self.select is not None:
             out = out[self.select]
-        return out
+        return as_columns(out)
 
     def state_nbytes(self) -> int:
         return pdf_nbytes(self._state)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 
-from .util import Batch, ColumnBatch, as_columns
+from .util import ColumnBatch
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -68,19 +68,18 @@ def _col_hash(col) -> np.ndarray:
     return _series_hash(pd.Series(col, copy=False))
 
 
-def key_hash(batch: Batch, cols: list[str]) -> np.ndarray:
+def key_hash(batch: ColumnBatch, cols: list[str]) -> np.ndarray:
     """uint64 hash of every row's ``cols`` — the one key hash shared by
     shuffle routing and the join index. For a single integer column it is
     a bijection of the value (the splitmix64 finaliser is invertible), so
     equal hashes mean equal keys; otherwise callers must check equality."""
-    batch = as_columns(batch)
     h = np.zeros(len(batch), dtype=np.uint64)
     for c in cols:
         h = h * _GOLDEN + _col_hash(batch.column(c))
     return h
 
 
-def hash_indices(batch: Batch, cols: list[str], n: int) -> np.ndarray:
+def hash_indices(batch: ColumnBatch, cols: list[str], n: int) -> np.ndarray:
     """Channel index in ``[0, n)`` for every row, hashing ``cols``."""
     return (_mix64(key_hash(batch, cols)) % np.uint64(n)).astype(np.int64)
 
@@ -96,13 +95,12 @@ def slice_order(idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def partition(
-    batch: Optional[Batch], cols: list[str], n: int
+    batch: Optional[ColumnBatch], cols: list[str], n: int
 ) -> list[Optional[ColumnBatch]]:
     """Split a batch into ``n`` slices by hash of ``cols``.
 
     A slice is a :class:`~repro.engine.util.ColumnBatch` that owns its
-    rows' arrays; a frame's columns are read once, a column batch's are
-    used as they are. An empty ``cols`` sends everything to channel 0
+    rows' arrays. An empty ``cols`` sends everything to channel 0
     (global aggregation / top-k stages have a single channel) as the
     whole batch. Empty slices are ``None`` — the engine's empty-output
     sentinel — so downstream cost accounting and inbox bookkeeping stay
@@ -111,7 +109,6 @@ def partition(
     out: list[Optional[ColumnBatch]] = [None] * n
     if batch is None or len(batch) == 0:
         return out
-    batch = as_columns(batch)
     if n == 1 or not cols:
         out[0] = batch
         return out

@@ -16,7 +16,7 @@ from repro.engine.partition import _col_hash, _mix64, key_hash, partition
 from repro.engine.util import (
     ColumnBatch,
     as_columns,
-    as_frame,
+    columnar,
     concat_batches,
     pdf_nbytes,
     row_nbytes,
@@ -67,17 +67,15 @@ def test_array_hash_equals_series_hash_for_every_dtype():
         for c in pdf:
             want = reference_col_hash(pdf[c])
             np.testing.assert_array_equal(_col_hash(cb.column(c)), want, err_msg=c)
-            # a gathered (standalone) batch hashes its arrays the same
+            # a gathered batch hashes its arrays the same
             gathered = ColumnBatch(cb.names, cb.cols, cb.rows, cb.width)
-            np.testing.assert_array_equal(
-                key_hash(gathered, [c]), key_hash(pdf, [c]), err_msg=c
-            )
+            np.testing.assert_array_equal(key_hash(gathered, [c]), want, err_msg=c)
     # why timedeltas take the Series path: their str differs
     assert str(np.timedelta64(1, "s")) != str(pd.Timedelta(1, "s"))
 
 
 def sides(seed, n_batches, ext):
-    """Left/right batches with a shared int key; ``ext`` adds extension
+    """Left/right frames with a shared int key; ``ext`` adds extension
     (tz-aware, Int64) columns, which gathers concatenate with pd.concat."""
     g = np.random.default_rng(seed)
 
@@ -103,12 +101,12 @@ def sides(seed, n_batches, ext):
 
 def feeds(seed, ext):
     """One feed of (side, slices) per gather, slices from ``partition``:
-    some gathers take one slice (a slice of a frame), some several (a
-    concatenated column batch when the schema is numpy)."""
+    some gathers take one slice, some several (concatenated column by
+    column when the schema is numpy, by pandas otherwise)."""
     left, right = sides(seed, 6, ext)
     out = []
     for side, frames, key in ((0, left, "lk"), (1, right, "rk")):
-        sliced = [partition(f, [key], N) for f in frames]
+        sliced = [partition(as_columns(f), [key], N) for f in frames]
         for ch in range(N):
             parts = [s[ch] for s in sliced if s[ch] is not None]
             out += [(side, parts[:1]), (side, parts[1:])]
@@ -116,10 +114,11 @@ def feeds(seed, ext):
     return [out[i] for i in g.permutation(len(out)) if out[i][1]]
 
 
-def kind(batch):
-    if isinstance(batch, pd.DataFrame):
-        return "frame"
-    return "standalone" if batch.src is None else "slice of a frame"
+def kind(parts):
+    """How ``concat_batches`` gathers ``parts``."""
+    if len(parts) == 1:
+        return "lone"
+    return "columns" if columnar(parts) else "pandas"
 
 
 @pytest.mark.parametrize("ext", [False, True], ids=["numpy", "extension"])
@@ -132,19 +131,19 @@ def test_join_output_same_for_frames_slices_and_gathers(ext, post):
     for side, parts in feeds(5, ext):
         frame = pd.concat([p.to_frame() for p in parts], ignore_index=True)
         gathered = concat_batches(parts)
-        kinds.add(kind(gathered))
-        got = {"frame": joins["frame"].on_batch(side, frame),
+        kinds.add(kind(parts))
+        got = {"frame": joins["frame"].on_batch(side, as_columns(frame)),
                "batch": joins["batch"].on_batch(side, gathered)}
         assert (got["frame"] is None) == (got["batch"] is None)
         if got["frame"] is not None:
-            want = as_frame(got["frame"])
-            pd.testing.assert_frame_equal(as_frame(got["batch"]), want)
+            want = got["frame"].to_frame()
+            pd.testing.assert_frame_equal(got["batch"].to_frame(), want)
             assert row_nbytes(got["batch"]) == row_nbytes(want)
-            assert isinstance(got["batch"], pd.DataFrame) == post
+            assert isinstance(got["batch"], ColumnBatch)
         assert joins["frame"].state_nbytes() == joins["batch"].state_nbytes()
-    # the feeds covered lone slices of frames, and concatenated column
-    # batches (numpy schema) or promoted frames (extension columns)
-    assert kinds == {"slice of a frame", "frame" if ext else "standalone"}
+    # the feeds covered lone slices, and gathers concatenated column by
+    # column (numpy schema) or promoted by pandas (extension columns)
+    assert kinds == {"lone", "pandas" if ext else "columns"}
 
 
 def test_join_infers_timestamp_objects_like_the_frame_constructor():
@@ -155,8 +154,8 @@ def test_join_infers_timestamp_objects_like_the_frame_constructor():
     right = pd.DataFrame({"rk": np.arange(6), "rv": np.arange(6.0)})
     assert left["lo"].dtype == object
     j = SymmetricHashJoin(["lk"], ["rk"])
-    j.on_batch(0, left)
-    out = j.on_batch(1, right)
+    j.on_batch(0, as_columns(left))
+    out = j.on_batch(1, as_columns(right))
     assert isinstance(out, ColumnBatch)
     frame = out.to_frame()
     assert frame["lo"].dtype == "datetime64[ns]"
@@ -174,17 +173,17 @@ def join_output():
     left, right = sides(11, 3, ext=False)
     j = SymmetricHashJoin(["lk"], ["rk"])
     for f in left:
-        j.on_batch(0, f)
-    out = j.on_batch(1, pd.concat(right, ignore_index=True))
-    assert isinstance(out, ColumnBatch) and out.src is None
+        j.on_batch(0, as_columns(f))
+    out = j.on_batch(1, as_columns(pd.concat(right, ignore_index=True)))
+    assert isinstance(out, ColumnBatch)
     return out
 
 
 def test_pdf_nbytes_of_a_batch_equals_that_of_its_frame():
     out = join_output()
-    pdf = typed_frame()
-    batches = [out, as_columns(pdf)]
-    for b, key in ((out, "lk"), (pdf, "int64")):
+    cb = as_columns(typed_frame())
+    batches = [out, cb]
+    for b, key in ((out, "lk"), (cb, "int64")):
         batches += [s for s in partition(b, [key], N) if s is not None]
     batches.append(concat_batches(partition(out, ["rs"], N)))
     for b in batches:
@@ -208,6 +207,6 @@ def test_partition_of_a_backed_up_batch_gives_the_pushed_slices():
             pd.testing.assert_frame_equal(a.to_frame(), b.to_frame())
     pd.testing.assert_frame_equal(out.to_frame(), frame)
     # and they are the slices of the materialised frame
-    for a, want in zip(pushed, partition(frame, ["lk", "rs"], N)):
+    for a, want in zip(pushed, partition(as_columns(frame), ["lk", "rs"], N)):
         if a is not None:
             pd.testing.assert_frame_equal(a.to_frame(), want.to_frame())

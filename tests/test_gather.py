@@ -16,7 +16,7 @@ from repro.engine.operators import Operator
 from repro.engine.partition import hash_indices, partition
 from repro.engine.plan import OpStage
 from repro.engine.util import (
-    as_frame,
+    as_columns,
     concat_batches,
     dtype_width,
     pdf_nbytes,
@@ -32,7 +32,7 @@ def reference_slices(pdf, cols, n):
     slice per channel — the reference every slice must materialise to."""
     if n == 1 or not cols:
         return [pdf] + [None] * (n - 1)
-    idx = hash_indices(pdf, cols, n)
+    idx = hash_indices(as_columns(pdf), cols, n)
     order = np.argsort(idx, kind="stable")
     bounds = np.searchsorted(idx[order], np.arange(n + 1))
     taken = pdf.take(order)
@@ -74,7 +74,7 @@ def gather(parts):
     rt.inbox[u] = dict(enumerate(parts))
     _, nbytes = Executor._gather(committed(u, len(parts)), rt, u, 0, len(parts))
     assert rt.inbox[u] == {} and rt.watermark[u] == len(parts)
-    return (as_frame(rt.op.seen[0]) if rt.op.seen else None), nbytes
+    return (rt.op.seen[0].to_frame() if rt.op.seen else None), nbytes
 
 
 def batch(seed, v):
@@ -110,7 +110,7 @@ CASES = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_gather_equals_concat_of_frame_slices(case):
     batches = CASES[case]
-    sliced = [partition(b, ["k"], N) for b in batches]
+    sliced = [partition(as_columns(b), ["k"], N) for b in batches]
     reference = [reference_slices(b, ["k"], N) for b in batches]
     for ch in range(N):
         parts = [s[ch] for s in sliced if s[ch] is not None]
@@ -123,22 +123,24 @@ def test_gather_equals_concat_of_frame_slices(case):
         assert list(got.columns) == ["k", "s", "d", "v"]
         assert nbytes == pdf_nbytes(want)
         # the public concat is the same frame
-        pd.testing.assert_frame_equal(as_frame(concat_batches(parts)), want)
+        pd.testing.assert_frame_equal(concat_batches(parts).to_frame(), want)
 
 
 def test_gathered_frame_is_consolidated():
     batches = CASES["same-schema"]
-    parts = [partition(b, ["k"], N)[0] for b in batches]
-    got = as_frame(concat_batches(parts))
+    parts = [partition(as_columns(b), ["k"], N)[0] for b in batches]
+    got = concat_batches(parts).to_frame()
     # one block per dtype: int64, object, datetime64, float64
     assert got._mgr.nblocks == 4
 
 
 def test_single_channel_slice_is_the_batch():
     pdf = batch(7, _rows(10, 7))
-    (s,) = partition(pdf, ["k"], 1)
+    cb = as_columns(pdf)
+    (s,) = partition(cb, ["k"], 1)
+    assert s is cb
     assert concat_batches([None, s, None]) is s
-    assert as_frame(s) is pdf
+    pd.testing.assert_frame_equal(s.to_frame(), pdf)
     assert s.nbytes == pdf_nbytes(pdf)
 
 
@@ -178,7 +180,7 @@ def test_extension_dtype_widths(ext):
 
 
 def test_extension_dtypes_round_trip(ext):
-    slices = partition(ext, ["k"], N)
+    slices = partition(as_columns(ext), ["k"], N)
     reference = reference_slices(ext, ["k"], N)
     for s, want in zip(slices, reference):
         assert (s is None) == (want is None)
@@ -203,12 +205,12 @@ def test_object_column_of_timestamps_stays_object():
         }
     )
     assert pdf["o"].dtype == object
-    slices = partition(pdf, ["k"], N)
+    slices = partition(as_columns(pdf), ["k"], N)
     reference = reference_slices(pdf, ["k"], N)
     for s, want in zip(slices, reference):
         if s is not None:
             pd.testing.assert_frame_equal(s.to_frame(), want)
-    got = as_frame(concat_batches(slices))
+    got = concat_batches(slices).to_frame()
     pd.testing.assert_frame_equal(got, reference_concat(reference))
     assert got["o"].dtype == object
 
@@ -218,7 +220,7 @@ def test_object_column_of_timestamps_stays_object():
 
 def test_gather_rejects_uncommitted_output():
     u = (0, 0)
-    parts = [batch(8, _rows(6, 8)), batch(9, _rows(6, 9))]
+    parts = [as_columns(batch(8, _rows(6, 8))), as_columns(batch(9, _rows(6, 9)))]
     # nothing committed, then only the first of the two outputs: the
     # check covers the whole consumed range, not its first output
     for store in (LineageStore(), committed(u, 1)):
@@ -244,7 +246,7 @@ def test_task_build_rejects_uncommitted_input(db, tables, path):
     ex, rt, u = _join_channel(db, tables)
     pdf = ex.tables[ex.plan.stages[u[0]].table][0]
     for seq in range(DYNAMIC_MIN):
-        ex._deliver(rt.cid, u, seq, partition(pdf, [], 1)[0])
+        ex._deliver(rt.cid, u, seq, partition(as_columns(pdf), [], 1)[0])
     if path == "retrace":
         rt.retrace_records = [ConsumeLineage(u, 0, DYNAMIC_MIN)]
     with pytest.raises(RuntimeError, match="not all committed"):

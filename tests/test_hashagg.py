@@ -16,11 +16,12 @@ import pandas as pd
 import pytest
 
 from repro.engine.operators import HashAgg
-from repro.engine.util import ColumnBatch, as_frame, pdf_nbytes
+from repro.engine.util import ColumnBatch, as_columns, pdf_nbytes
 
 
 class PandasHashAgg:
-    """The pandas ``HashAgg``: every aggregate a SUM of an expression."""
+    """The pandas ``HashAgg``: every aggregate a SUM of an expression,
+    computed on the input batch's frame."""
 
     _DUMMY = "__g"
     _COMPACT_ROWS = 20_000
@@ -59,14 +60,14 @@ class PandasHashAgg:
     def on_batch(self, upstream_idx, batch):
         if batch is None or len(batch) == 0:
             return None
-        contrib = self._contrib(as_frame(batch))
+        contrib = self._contrib(batch.to_frame())
         self._chunks.append(contrib)
         self._rows += len(contrib)
         if self._rows >= self._COMPACT_ROWS:
             self._compact()
         return None
 
-    def flush(self) -> Optional[pd.DataFrame]:
+    def flush(self) -> Optional[ColumnBatch]:
         out = self._compact()
         if out is None:
             return None
@@ -74,7 +75,7 @@ class PandasHashAgg:
             out = out.drop(columns=[self._DUMMY])
         if self.derived is not None:
             out = self.derived(out)
-        return out if len(out) else None
+        return as_columns(out) if len(out) else None
 
     def state_nbytes(self) -> int:
         return sum(pdf_nbytes(c) for c in self._chunks)
@@ -134,10 +135,10 @@ KEYS = {
 
 
 def _as_input(frame: pd.DataFrame, how: str):
-    """A batch as a frame (a fused scan's output) or as a standalone
-    column batch (a gather or a join output)."""
+    """A batch as a frame's columns (a fused scan's output) or as a
+    standalone column batch (a gather or a join output)."""
     if how == "frame":
-        return frame
+        return as_columns(frame)
     return ColumnBatch.of_arrays({c: frame[c].to_numpy() for c in frame})
 
 
@@ -150,7 +151,7 @@ def _run(agg, batches, how):
         sizes.append(agg.state_nbytes())
     out = agg.flush()
     sizes.append(agg.state_nbytes())
-    return (None if out is None else as_frame(out)), sizes
+    return (None if out is None else out.to_frame()), sizes
 
 
 def _assert_same(got: Optional[pd.DataFrame], want: Optional[pd.DataFrame], keys):
@@ -230,11 +231,11 @@ def test_partial_then_final(shape, compact_rows):
             if compact_rows is not None:
                 p._COMPACT_ROWS = compact_rows
             for b in batches[part::4]:
-                p.on_batch(0, b)
+                p.on_batch(0, as_columns(b))
             final.on_batch(0, p.flush())
             sizes.append(final.state_nbytes())
         out = final.flush()
-        outs[way] = (as_frame(out), sizes + [final.state_nbytes()])
+        outs[way] = (out.to_frame(), sizes + [final.state_nbytes()])
     assert outs["new"][1] == outs["ref"][1]
     _assert_same(outs["new"][0], outs["ref"][0], keys)
 
@@ -253,7 +254,7 @@ def test_extension_column_fails_early():
     frame = pd.DataFrame({"k": pd.array([1, None], dtype="Int64"), "v": [1.0, 2.0]})
     agg = HashAgg(["k"], {"s": lambda d: d.v})
     with pytest.raises(TypeError, match="'k'"):
-        agg.on_batch(0, frame)
+        agg.on_batch(0, as_columns(frame))
 
 
 def test_many_wide_keys_do_not_overflow_the_group_code():

@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine import operators
 from repro.engine.operators import HashAgg, SymmetricHashJoin, TopK
-from repro.engine.util import ColumnBatch, as_frame, pdf_nbytes, row_nbytes
+from repro.engine.util import ColumnBatch, as_columns, pdf_nbytes, row_nbytes
 
 
 def _sorted(df, cols=None):
@@ -40,9 +40,9 @@ def _reference_join(lbatches, rbatches):
 def _drive(join, feed):
     outs = []
     for side, batch in feed:
-        r = join.on_batch(side, batch)
+        r = join.on_batch(side, as_columns(batch))
         if r is not None:
-            outs.append(as_frame(r))
+            outs.append(r.to_frame())
     return pd.concat(outs, ignore_index=True) if outs else pd.DataFrame()
 
 
@@ -77,8 +77,8 @@ def test_join_multi_column_keys():
     left = pd.DataFrame({"a": [1, 1, 2], "b": [1, 2, 1], "x": [10, 20, 30]})
     right = pd.DataFrame({"c": [1, 2, 1], "d": [2, 1, 9], "y": [7, 8, 9]})
     j = SymmetricHashJoin(["a", "b"], ["c", "d"])
-    outs = [j.on_batch(0, left), j.on_batch(1, right)]
-    got = pd.concat([as_frame(o) for o in outs if o is not None], ignore_index=True)
+    outs = [j.on_batch(0, as_columns(left)), j.on_batch(1, as_columns(right))]
+    got = pd.concat([o.to_frame() for o in outs if o is not None], ignore_index=True)
     expected = left.merge(right, left_on=["a", "b"], right_on=["c", "d"])
     pd.testing.assert_frame_equal(
         _sorted(got), _sorted(expected), check_dtype=False
@@ -106,6 +106,7 @@ def test_join_select_equals_projection_post(left_batches, right_batches, first):
     post = SymmetricHashJoin(["lk"], ["rk"], post=lambda d: d[cols])
     emitted = 0
     for side, batch in feed:
+        batch = as_columns(batch)
         a, b = sel.on_batch(side, batch), post.on_batch(side, batch)
         assert (a is None) == (b is None)
         if a is None:
@@ -113,7 +114,7 @@ def test_join_select_equals_projection_post(left_batches, right_batches, first):
         emitted += 1
         assert isinstance(a, ColumnBatch) and a.names == cols
         assert row_nbytes(a) == row_nbytes(b)
-        pd.testing.assert_frame_equal(as_frame(a), b.reset_index(drop=True))
+        pd.testing.assert_frame_equal(a.to_frame(), b.to_frame())
         assert sel.state_nbytes() == post.state_nbytes()
     assert emitted >= 2
 
@@ -129,28 +130,28 @@ def test_join_select_rejects_bad_projections():
 
 def test_join_select_of_a_missing_column_fails_at_first_output():
     j = SymmetricHashJoin(["lk"], ["rk"], select=["lv", "nope"])
-    assert j.on_batch(0, pd.DataFrame({"lk": [1], "lv": [0.5]})) is None
+    assert j.on_batch(0, as_columns(pd.DataFrame({"lk": [1], "lv": [0.5]}))) is None
     with pytest.raises(ValueError, match="'nope'"):
-        j.on_batch(1, pd.DataFrame({"rk": [1], "rv": [2.0]}))
+        j.on_batch(1, as_columns(pd.DataFrame({"rk": [1], "rv": [2.0]})))
 
 
 def test_join_empty_batches_are_noops():
     j = SymmetricHashJoin(["lk"], ["rk"])
     assert j.on_batch(0, None) is None
-    assert j.on_batch(1, pd.DataFrame({"rk": [], "rv": []})) is None
+    assert j.on_batch(1, as_columns(pd.DataFrame({"rk": [], "rv": []}))) is None
 
 
 def test_join_no_matches_returns_none():
     j = SymmetricHashJoin(["lk"], ["rk"])
-    j.on_batch(0, pd.DataFrame({"lk": [1], "lv": [0.0]}))
-    assert j.on_batch(1, pd.DataFrame({"rk": [99], "rv": [0.0]})) is None
+    j.on_batch(0, as_columns(pd.DataFrame({"lk": [1], "lv": [0.0]})))
+    assert j.on_batch(1, as_columns(pd.DataFrame({"rk": [99], "rv": [0.0]}))) is None
 
 
 def test_join_state_nbytes_grows(left_batches):
     j = SymmetricHashJoin(["lk"], ["rk"])
-    j.on_batch(0, left_batches[0])
+    j.on_batch(0, as_columns(left_batches[0]))
     s1 = j.state_nbytes()
-    j.on_batch(0, left_batches[1])
+    j.on_batch(0, as_columns(left_batches[1]))
     assert j.state_nbytes() > s1 > 0
 
 
@@ -214,8 +215,8 @@ def test_join_single_string_key_matches_exactly():
     left = pd.DataFrame({"ls": ["a", "b", "c", "a"], "lv": [1, 2, 3, 4]})
     right = pd.DataFrame({"rs": ["a", "c", "d"], "rv": [5, 6, 7]})
     j = SymmetricHashJoin(["ls"], ["rs"])
-    j.on_batch(1, right)
-    got = as_frame(j.on_batch(0, left))
+    j.on_batch(1, as_columns(right))
+    got = j.on_batch(0, as_columns(left)).to_frame()
     expected = left.merge(right, left_on="ls", right_on="rs")
     pd.testing.assert_frame_equal(_sorted(got), _sorted(expected))
 
@@ -260,7 +261,7 @@ def test_join_state_nbytes_equals_appended_batch_sizes(left_batches, right_batch
     for side, batch in [(0, left_batches[0]), (1, right_batches[0]),
                         (0, left_batches[1]), (1, right_batches[1]),
                         (0, left_batches[2])]:
-        j.on_batch(side, batch)
+        j.on_batch(side, as_columns(batch))
         fed.append(batch)
         assert j.state_nbytes() == sum(pdf_nbytes(b) for b in fed)
 
@@ -269,8 +270,8 @@ def test_join_state_nbytes_equals_appended_batch_sizes(left_batches, right_batch
 
 def _agg_feed(agg, batches):
     for b in batches:
-        assert agg.on_batch(0, b) is None  # aggs emit only at flush
-    return as_frame(agg.flush())
+        assert agg.on_batch(0, as_columns(b)) is None  # aggs emit only at flush
+    return agg.flush().to_frame()
 
 
 def test_hashagg_grouped_sums():
@@ -308,13 +309,13 @@ def test_hashagg_partial_then_final():
     partials = []
     for i in (0, 1):
         p = HashAgg(["k"], {"s": lambda d: d.v})
-        p.on_batch(0, batches[2 * i])
-        p.on_batch(0, batches[2 * i + 1])
+        p.on_batch(0, as_columns(batches[2 * i]))
+        p.on_batch(0, as_columns(batches[2 * i + 1]))
         partials.append(p.flush())
     final = HashAgg(["k"], {"s": lambda d: d.s}, raw=False)
     for p in partials:
         final.on_batch(0, p)
-    got = as_frame(final.flush())
+    got = final.flush().to_frame()
     expected = (
         pd.concat(batches).groupby("k").v.sum().reset_index(name="s")
     )
@@ -329,8 +330,8 @@ def test_hashagg_derived_map():
         {"s": lambda d: d.v, "n": lambda d: np.ones(len(d), dtype="int64")},
         derived=lambda d: d.assign(avg=d.s / d.n),
     )
-    agg.on_batch(0, pd.DataFrame({"k": [1, 1, 2], "v": [2.0, 4.0, 10.0]}))
-    out = agg.flush().set_index("k")
+    agg.on_batch(0, as_columns(pd.DataFrame({"k": [1, 1, 2], "v": [2.0, 4.0, 10.0]})))
+    out = agg.flush().to_frame().set_index("k")
     assert out.loc[1, "avg"] == pytest.approx(3.0)
     assert out.loc[2, "avg"] == pytest.approx(10.0)
 
@@ -365,8 +366,8 @@ def test_topk_matches_sort_head():
     ]
     top = TopK(["r", "k"], [False, True], 10)
     for b in batches:
-        assert top.on_batch(0, b) is None
-    got = top.flush().reset_index(drop=True)
+        assert top.on_batch(0, as_columns(b)) is None
+    got = top.flush().to_frame()
     expected = (
         pd.concat(batches)
         .sort_values(["r", "k"], ascending=[False, True])
@@ -378,13 +379,13 @@ def test_topk_matches_sort_head():
 
 def test_topk_select_projection():
     top = TopK(["r"], [False], 2, select=["k"])
-    top.on_batch(0, pd.DataFrame({"r": [3.0, 1.0, 2.0], "k": [1, 2, 3]}))
-    out = top.flush()
+    top.on_batch(0, as_columns(pd.DataFrame({"r": [3.0, 1.0, 2.0], "k": [1, 2, 3]})))
+    out = top.flush().to_frame()
     assert list(out.columns) == ["k"]
     assert out.k.tolist() == [1, 3]
 
 
 def test_topk_fewer_rows_than_k():
     top = TopK(["r"], [True], 10)
-    top.on_batch(0, pd.DataFrame({"r": [2.0, 1.0]}))
-    assert top.flush().r.tolist() == [1.0, 2.0]
+    top.on_batch(0, as_columns(pd.DataFrame({"r": [2.0, 1.0]})))
+    assert top.flush().to_frame().r.tolist() == [1.0, 2.0]

@@ -22,6 +22,7 @@ from repro.engine.executor import DYNAMIC_MIN, ExecConfig, Executor, Failure
 from repro.engine.operators import Operator
 from repro.engine.partition import partition
 from repro.engine.plan import OpStage, Plan, ScanStage
+from repro.engine.util import as_columns
 from repro.queries.tpch import QUERIES
 
 # the kill-point sweep's data: small enough to run every mode twice
@@ -98,7 +99,7 @@ class _Recorder(Operator):
         return None
 
 
-_ROWS = partition(pd.DataFrame({"k": [1, 2, 3]}), [], 1)[0]
+_ROWS = partition(as_columns(pd.DataFrame({"k": [1, 2, 3]})), [], 1)[0]
 U0, U1 = (0, 0), (1, 0)
 
 
