@@ -64,7 +64,7 @@ from ..core.naming import (
 from ..core.recovery import Replay, Rescan, plan_recovery
 from ..core.wal import DURABLE, LineageStore
 from .cluster import Worker
-from .operators import Operator
+from .operators import Operator, _View
 from .partition import partition
 from .plan import OpStage, Plan, ScanStage
 from .simtime import CostModel
@@ -429,9 +429,8 @@ class Executor:
         """Read one source batch through the fused map: (output as a
         column batch, or None when empty; bytes read)."""
         raw = self.tables[spec.table][batch_idx]
-        out = spec.map_fn(raw) if spec.map_fn else raw
-        out = as_columns(out) if out is not None and len(out) else None
-        return out, pdf_nbytes(raw)
+        out = spec.map_fn(_View.of_frame(raw)) if spec.map_fn else as_columns(raw)
+        return (out if len(out) else None), pdf_nbytes(raw)
 
     def _build_scan(self, rt: ChannelRt) -> Optional[Task]:
         seq, n = rt.next_seq, len(rt.scan_batches)

@@ -9,9 +9,11 @@ relies on: retracing the logged consumption order reproduces
 byte-identical outputs.
 
 All non-scan operators here are stateful; stateless maps/filters are
-fused into scans, into a join's ``select`` projection or ``post`` map and
-into an aggregation's ``derived`` map (paper §III-B: stateless channels
-"are typically input readers").
+fused into scans, into a join's ``project`` and into an aggregation's
+``derived`` map (paper §III-B: stateless channels "are typically input
+readers"). Each fused map is a function from a :class:`_View` of column
+arrays to a :class:`~repro.engine.util.ColumnBatch`, built by
+:meth:`_View.out`.
 """
 from __future__ import annotations
 
@@ -22,9 +24,7 @@ import numpy as np
 import pandas as pd
 
 from .partition import key_hash
-from .util import ColumnBatch, as_columns, dtype_width, pdf_nbytes
-
-MapFn = Callable[[pd.DataFrame], pd.DataFrame]
+from .util import ColumnBatch, column_array, concat_batches, dtype_width, pdf_nbytes
 
 
 class Operator(ABC):
@@ -37,11 +37,9 @@ class Operator(ABC):
 
         ``batch`` is a :class:`~repro.engine.util.ColumnBatch` (a scan's
         output over a fused edge, or a gather of shuffle slices); None or
-        an empty batch is a no-op. Output is a column batch too. Frames
-        are built only for pandas code — a join's ``post`` map, an
-        aggregation's ``derived`` map (once, at flush) and :class:`TopK`'s
-        state — whose result re-enters the engine through
-        :func:`~repro.engine.util.as_columns`.
+        an empty batch is a no-op. Output is a column batch too: kernels,
+        their state and their fused maps work on column arrays, and build
+        no frame.
         """
 
     def flush(self) -> Optional[ColumnBatch]:
@@ -67,7 +65,7 @@ class _Columns:
         for c, vals in cols.items():
             buf = self._bufs.get(c, vals[:0])
             # A batch whose column is wider than the buffer (float into
-            # int, say) widens the buffer as pd.concat would.
+            # int, say) widens the buffer as pandas' concat would.
             if len(buf) < end or not np.can_cast(vals.dtype, buf.dtype):
                 cap = len(buf) if len(buf) >= end else max(end, 2 * len(buf))
                 dtype = np.result_type(buf.dtype, vals.dtype)
@@ -183,32 +181,17 @@ class SymmetricHashJoin(Operator):
     byte-identical.
 
     The join works on column arrays: it reads each input column once and
-    emits a standalone :class:`~repro.engine.util.ColumnBatch`, the left
-    input's columns first. ``select`` projects it: only the named
-    columns are gathered, in that order. ``post`` is an optional fused
-    stateless map/filter over emitted rows, for what a projection cannot
-    express; it gets them as a frame and its output is emitted as a
-    column batch. The plan builder guarantees the two sides have
-    disjoint column names.
+    emits a standalone :class:`~repro.engine.util.ColumnBatch`, by
+    default every column of both inputs, the left input's first.
+    ``project`` is the fused stateless map over emitted rows: it reads a
+    :class:`_View` of the matched pairs, which gathers only the columns it
+    names, and returns the output batch (:meth:`_View.out`). The plan
+    builder guarantees the two sides have disjoint column names.
     """
 
-    def __init__(
-        self,
-        left_on: list[str],
-        right_on: list[str],
-        post: Optional[MapFn] = None,
-        select: Optional[list[str]] = None,
-    ) -> None:
-        if select is not None:
-            if post is not None:
-                raise ValueError("a join takes select or post, not both")
-            if not select:
-                raise ValueError("a join's select names no column")
-            dups = sorted({c for c in select if select.count(c) > 1})
-            if dups:
-                raise ValueError(f"a join's select names {dups} more than once")
-        self.left_on, self.right_on, self.post = left_on, right_on, post
-        self.select = select
+    def __init__(self, left_on: list[str], right_on: list[str],
+                 project: Optional[Callable[["_View"], ColumnBatch]] = None) -> None:
+        self.left_on, self.right_on, self.project = left_on, right_on, project
         self._sides = [_JoinSide(left_on), _JoinSide(right_on)]
 
     def on_batch(self, upstream_idx: int, batch: ColumnBatch) -> Optional[ColumnBatch]:
@@ -230,36 +213,27 @@ class SymmetricHashJoin(Operator):
         if hit is not None:
             opos, ppos = self._verified(hit, other, batch, cols, mine.keys)
             if len(opos):
-                out = self._gathered(upstream_idx, cols, ppos, other.cols, opos)
+                out = self._emitted(upstream_idx, cols, ppos, other.cols, opos)
         mine.append(cols, batch.width, h)
-        if out is None:
-            return None
-        if self.post is None:
-            return ColumnBatch.of_arrays(out)
-        # Every column is a fresh gather, so the frame may own it as is
-        # rather than copy it into consolidated blocks.
-        out = self.post(pd.DataFrame(out, copy=False))
-        return as_columns(out) if out is not None and len(out) else None
+        return out if out is not None and len(out) else None
 
-    def _gathered(self, upstream_idx: int, cols, ppos, stored: _Columns, opos):
-        """The output columns of matched pairs (probe rows ``ppos`` of
-        ``cols``, stored rows ``opos``): the selected ones in order, else
-        every column, the left input's first."""
-        if self.select is None:
+    def _emitted(self, upstream_idx: int, cols, ppos, stored: _Columns, opos):
+        """The output of matched pairs (probe rows ``ppos`` of ``cols``,
+        stored rows ``opos``): ``project``'s, else every column, the left
+        input's first."""
+        if self.project is None:
             left = {c: vals[ppos] for c, vals in cols.items()}
             right = stored.take(opos)
             if upstream_idx == 1:
                 left, right = right, left
-            return {**left, **right}
-        out = {}
-        for c in self.select:
+            return ColumnBatch.of_arrays({**left, **right})
+
+        def read(c: str):
             if c in cols:
-                out[c] = cols[c][ppos]
-            elif c in stored:
-                out[c] = stored.column(c)[opos]
-            else:
-                raise ValueError(f"a join's select names {c!r}, which neither input has")
-        return out
+                return cols[c][ppos]
+            return stored.column(c)[opos] if c in stored else None
+
+        return self.project(_View(read, len(ppos)))
 
     @staticmethod
     def _verified(hit, other: _JoinSide, batch: ColumnBatch, cols, keys: list[str]):
@@ -282,26 +256,71 @@ class SymmetricHashJoin(Operator):
 
 
 class _View:
-    """A batch's columns as aggregate expressions read them: ``d.col``
+    """The columns a fused map or an aggregate expression reads: ``d.col``
     and ``d["col"]`` are the column's array and ``len(d)`` is the row
-    count, so ``d.a * (1 - d.b)`` is numpy arithmetic."""
+    count, so ``d.a * (1 - d.b)`` is numpy arithmetic.
 
-    __slots__ = ("_batch",)
+    ``read(name)`` gives a column's array, or None when the input has no
+    such column; each column is read once, when first named, so a view
+    over a join's matched pairs gathers only the columns a map reads.
+    """
 
-    def __init__(self, batch: ColumnBatch) -> None:
-        self._batch = batch
+    __slots__ = ("_read", "_rows", "_cols")
+
+    def __init__(self, read: Callable[[str], object], rows: int) -> None:
+        self._read, self._rows, self._cols = read, rows, {}
+
+    @classmethod
+    def of_batch(cls, batch: ColumnBatch) -> "_View":
+        names, cols = batch.names, batch.cols
+        return cls(lambda c: cols[names.index(c)] if c in names else None, len(batch))
+
+    @classmethod
+    def of_frame(cls, frame: pd.DataFrame) -> "_View":
+        """A source batch's columns, read as :func:`~repro.engine.util.as_columns`
+        reads them."""
+        return cls(
+            lambda c: column_array(frame[c]) if c in frame.columns else None, len(frame)
+        )
 
     def __len__(self) -> int:
-        return len(self._batch)
+        return self._rows
 
     def __getitem__(self, name: str):
-        return self._batch.column(name)
+        col = self._cols.get(name)
+        if col is None:
+            col = self._read(name)
+            if col is None:
+                raise ValueError(f"{name!r} is not a column of the input")
+            self._cols[name] = col
+        return col
 
     def __getattr__(self, name: str):
         try:
-            return self._batch.column(name)
+            return self[name]
         except ValueError:
             raise AttributeError(name) from None
+
+    def out(self, names: list[str], mask=None, **derived) -> ColumnBatch:
+        """The batch of columns ``names`` in that order — each the derived
+        array of that name if one is given, else the input's column — of
+        the rows where the boolean array ``mask`` is true (all rows
+        without a mask); it may have no rows. A projection that names no
+        column, names one twice or names a column the input lacks raises
+        ValueError."""
+        if not names:
+            raise ValueError("a projection names no column")
+        dups = sorted({c for c in names if names.count(c) > 1})
+        if dups:
+            raise ValueError(f"a projection names {dups} more than once")
+        pos = None if mask is None else np.flatnonzero(mask)
+        data = {}
+        for c in names:
+            col = derived[c] if c in derived else self[c]
+            if len(col) != self._rows:
+                raise ValueError(f"{c!r} has {len(col)} rows, the input {self._rows}")
+            data[c] = col if pos is None else col[pos]
+        return ColumnBatch.of_arrays(data)
 
 
 class HashAgg(Operator):
@@ -320,7 +339,8 @@ class HashAgg(Operator):
     ``aggs`` maps output column -> expression over a :class:`_View` of
     the input batch, returning an array. ``raw`` distinguishes a final
     agg fed raw rows (compute expressions) from one fed partials
-    (columns already computed; just sum).
+    (columns already computed; just sum). ``derived`` maps a view of the
+    flushed key and sum columns to the output batch.
 
     The state is the key and value columns of every contribution in
     :class:`_Columns` buffers. Compaction reduces them to one row per
@@ -338,7 +358,7 @@ class HashAgg(Operator):
         aggs: dict[str, Callable[[_View], np.ndarray]],
         *,
         raw: bool = True,
-        derived: Optional[MapFn] = None,
+        derived: Optional[Callable[[_View], ColumnBatch]] = None,
     ) -> None:
         self.keys, self.aggs, self.raw, self.derived = keys, aggs, raw, derived
         self._state = _Columns()
@@ -358,7 +378,7 @@ class HashAgg(Operator):
     def on_batch(self, upstream_idx: int, batch: ColumnBatch) -> None:
         if batch is None or len(batch) == 0:
             return None
-        d = _View(batch)
+        d = _View.of_batch(batch)
         cols = {k: d[k] for k in self.keys}
         for col, fn in self.aggs.items():
             cols[col] = np.asarray(fn(d)) if self.raw else d[col]
@@ -396,11 +416,12 @@ class HashAgg(Operator):
         self._compact()
         if not self._state.n:
             return None
-        out = {c: self._state.column(c) for c in self.keys + list(self.aggs)}
+        names = self.keys + list(self.aggs)
+        out = ColumnBatch.of_arrays({c: self._state.column(c) for c in names})
         if self.derived is None:
-            return ColumnBatch.of_arrays(out)
-        out = self.derived(pd.DataFrame(out))
-        return as_columns(out) if len(out) else None
+            return out
+        out = self.derived(_View.of_batch(out))
+        return out if len(out) else None
 
     def state_nbytes(self) -> int:
         return self._nbytes
@@ -451,8 +472,10 @@ class TopK(Operator):
     Keeps the best ``k`` rows by ``sort_by``/``ascending``; the plan
     builder must include full tie-break columns so the result set is
     deterministic (required both by replay and by the DuckDB oracle).
-    The state is a frame, sorted with pandas; ``flush`` emits it as a
-    column batch.
+    The state is a column batch. Each batch is appended to it and the
+    rows ordered as pandas orders a frame sorted by several columns:
+    every key is factorised in sorted order, NA last whatever the
+    direction, and ``np.lexsort`` sorts the codes stably.
     """
 
     def __init__(
@@ -468,31 +491,24 @@ class TopK(Operator):
             k,
             select,
         )
-        self._state: Optional[pd.DataFrame] = None
+        self._state: Optional[ColumnBatch] = None
 
     def on_batch(self, upstream_idx: int, batch: ColumnBatch) -> None:
         if batch is None or len(batch) == 0:
             return None
-        pdf = batch.to_frame()
-        merged = (
-            pdf
-            if self._state is None
-            else pd.concat([self._state, pdf], ignore_index=True)
-        )
-        self._state = (
-            merged.sort_values(self.sort_by, ascending=self.ascending)
-            .head(self.k)
-            .reset_index(drop=True)
-        )
+        merged = concat_batches([self._state, batch])
+        codes = []
+        for c, asc in zip(self.sort_by, self.ascending):
+            code, uniq = pd.factorize(merged.column(c), sort=True)
+            n = len(uniq)
+            codes.append(np.where(code < 0, n, code if asc else n - 1 - code))
+        self._state = merged.take(np.lexsort(codes[::-1])[: self.k])
         return None
 
     def flush(self) -> Optional[ColumnBatch]:
-        if self._state is None:
-            return None
-        out = self._state
-        if self.select is not None:
-            out = out[self.select]
-        return as_columns(out)
+        if self._state is None or self.select is None:
+            return self._state
+        return _View.of_batch(self._state).out(self.select)
 
     def state_nbytes(self) -> int:
         return pdf_nbytes(self._state)

@@ -13,16 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .operators import MapFn, Operator
+from .operators import Operator, _View
+from .util import ColumnBatch
 
 
 @dataclass
 class ScanStage:
     """Input readers over replayable storage (stateless; recoverable
-    data-parallel on any node). ``map_fn`` is the fused filter/project."""
+    data-parallel on any node). ``map_fn`` is the fused filter/project: it
+    reads a :class:`~repro.engine.operators._View` of the source batch's
+    columns and returns the output batch."""
 
     table: str
-    map_fn: Optional[MapFn] = None
+    map_fn: Optional[Callable[[_View], ColumnBatch]] = None
     upstreams: list[int] = field(default_factory=list)
     n_channels: Optional[int] = None  # None -> cluster width
 

@@ -21,7 +21,7 @@ def dtype_width(dtype) -> int:
 def pdf_nbytes(batch: Optional[ColumnBatch | pd.DataFrame]) -> int:
     """Approximate wire/storage size of a batch, in bytes: rows times
     :func:`row_nbytes`. ``None`` (the empty-output sentinel) is 0 bytes.
-    A frame is sized only as a source batch or ``TopK``'s state."""
+    A frame is sized only as a source batch."""
     if batch is None or len(batch) == 0:
         return 0
     return row_nbytes(batch) * len(batch)
@@ -59,6 +59,8 @@ class ColumnBatch:
         ``datetime64[ns]``, say) is inferred the same way, which the
         Series constructor shares with it. An array that starts with a
         string cannot be inferred and is kept as is."""
+        if not data:
+            raise ValueError("a column batch needs at least one column")
         cols, width = [], 0
         for col in data.values():
             if col.dtype == object and len(col) and not isinstance(col[0], str):
@@ -104,12 +106,17 @@ class ColumnBatch:
         return pd.DataFrame(data, index=None if data else pd.RangeIndex(self.rows))
 
 
+def column_array(s: pd.Series):
+    """A frame column's values as :class:`ColumnBatch` holds them."""
+    return s.to_numpy() if isinstance(s.dtype, np.dtype) else s.array
+
+
 def as_columns(frame: pd.DataFrame) -> ColumnBatch:
     """A frame's columns, each read once, as a column batch: where a
-    frame from a source table or a pandas callback enters the engine."""
+    source batch without a fused map enters the engine."""
     cols, width = [], 0
     for _, s in frame.items():
-        cols.append(s.to_numpy() if isinstance(s.dtype, np.dtype) else s.array)
+        cols.append(column_array(s))
         width += dtype_width(s.dtype)
     return ColumnBatch(list(frame.columns), cols, len(frame), width)
 

@@ -15,7 +15,11 @@ Predicate substitutions vs. official TPC-H (documented in DESIGN.md §5):
 → ``= 'PROMO'`` (Q14); LIMIT queries add full tie-break columns so the
 result set is deterministic. Tiny dimension tables (nation, region,
 supplier in the post-join maps) are broadcast — fused into operator
-closures — as the compared engines also broadcast them.
+closures as :func:`lookup` tables — as the compared engines also
+broadcast them.
+
+Every fused map (scan ``map_fn``, join ``project``, aggregation ``derived``)
+returns ``d.out(names, mask, **derived)`` of numpy arrays over its column view ``d``.
 """
 from __future__ import annotations
 
@@ -28,13 +32,41 @@ import pandas as pd
 from ..engine.operators import HashAgg, SymmetricHashJoin, TopK
 from ..engine.plan import OpStage, Plan, ScanStage
 
-D = pd.Timestamp  # date literal shorthand for map closures
+D = np.datetime64  # date literal shorthand for map closures
 
 
-def _rev(df):
-    """Discounted revenue, over a frame (scan and join maps) or over the
-    column arrays an aggregate expression reads."""
-    return df.l_extendedprice * (1 - df.l_discount)
+def _rev(d):
+    """Discounted revenue over the column arrays of a map's view."""
+    return d.l_extendedprice * (1 - d.l_discount)
+
+
+def _year(dates: np.ndarray) -> np.ndarray:
+    """The int64 calendar year of each date, as ``.dt.year`` gives it."""
+    return dates.astype("datetime64[Y]").astype(np.int64) + 1970
+
+
+def lookup(keys: pd.Series, values: pd.Series) -> Callable[[np.ndarray], np.ndarray]:
+    """``Series.map(dict(zip(keys, values)))`` for small non-negative
+    integer keys, as one index into a table: the values keep their dtype
+    (names stay an object array). A key with no value — negative, past
+    the largest key or a hole — raises KeyError, where numpy indexing
+    would wrap ``-1`` to the last entry."""
+    keys, values = keys.to_numpy(), values.to_numpy()
+    if keys.min() < 0:
+        raise ValueError(f"lookup keys must be non-negative, got {keys.min()}")
+    table = np.empty(keys.max() + 1, dtype=values.dtype)
+    table[keys] = values
+    known = np.zeros(len(table), dtype=bool)
+    known[keys] = True
+
+    def look(k: np.ndarray) -> np.ndarray:
+        hit = (k >= 0) & (k < len(table))
+        hit[hit] = known[k[hit]]
+        if not hit.all():
+            raise KeyError(k[~hit][0])
+        return table[k]
+
+    return look
 
 
 def _agg_stages(
@@ -109,11 +141,9 @@ GROUP BY l_returnflag, l_linestatus
 
 
 def _q1_plan(db: dict, pushdown: bool) -> Plan:
-    def scan_map(df):
-        return df[df.l_shipdate <= D("1998-09-02")][
-            ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
-             "l_discount", "l_tax"]
-        ]
+    def scan_map(d):
+        return d.out(["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
+                      "l_discount", "l_tax"], d.l_shipdate <= D("1998-09-02"))
 
     aggs = {
         "sum_qty": lambda d: d.l_quantity,
@@ -124,7 +154,8 @@ def _q1_plan(db: dict, pushdown: bool) -> Plan:
     }
 
     def derived(d):
-        return d.assign(avg_qty=d.sum_qty / d.count_order)
+        return d.out(["l_returnflag", "l_linestatus", *aggs, "avg_qty"],
+                     avg_qty=d.sum_qty / d.count_order)
 
     stages: list = [ScanStage("lineitem", scan_map)]
     _agg_stages(
@@ -145,15 +176,15 @@ WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01'
 
 
 def _q6_plan(db: dict, pushdown: bool) -> Plan:
-    def scan_map(df):
+    def scan_map(d):
         m = (
-            (df.l_shipdate >= D("1994-01-01"))
-            & (df.l_shipdate < D("1995-01-01"))
-            & (df.l_discount >= 0.05)
-            & (df.l_discount <= 0.07)
-            & (df.l_quantity < 24)
+            (d.l_shipdate >= D("1994-01-01"))
+            & (d.l_shipdate < D("1995-01-01"))
+            & (d.l_discount >= 0.05)
+            & (d.l_discount <= 0.07)
+            & (d.l_quantity < 24)
         )
-        return df[m][["l_extendedprice", "l_discount"]]
+        return d.out(["l_extendedprice", "l_discount"], m)
 
     aggs = {"revenue": lambda d: d.l_extendedprice * d.l_discount}
     stages: list = [ScanStage("lineitem", scan_map)]
@@ -178,18 +209,16 @@ LIMIT 10
 
 
 def _q3_plan(db: dict, pushdown: bool) -> Plan:
-    def cust_map(df):
-        return df[df.c_mktsegment == "BUILDING"][["c_custkey"]]
+    def cust_map(d):
+        return d.out(["c_custkey"], d.c_mktsegment == "BUILDING")
 
-    def ord_map(df):
-        return df[df.o_orderdate < D("1995-03-15")][
-            ["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"]
-        ]
+    def ord_map(d):
+        return d.out(["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
+                     d.o_orderdate < D("1995-03-15"))
 
-    def li_map(df):
-        return df[df.l_shipdate > D("1995-03-15")][
-            ["l_orderkey", "l_extendedprice", "l_discount"]
-        ]
+    def li_map(d):
+        return d.out(["l_orderkey", "l_extendedprice", "l_discount"],
+                     d.l_shipdate > D("1995-03-15"))
 
     stages: list = [
         ScanStage("customer", cust_map),              # 0
@@ -197,7 +226,7 @@ def _q3_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(                                      # 2: customer ⋈ orders
             make_op=lambda: SymmetricHashJoin(
                 ["c_custkey"], ["o_custkey"],
-                select=["o_orderkey", "o_orderdate", "o_shippriority"],
+                lambda d: d.out(["o_orderkey", "o_orderdate", "o_shippriority"]),
             ),
             upstreams=[0, 1],
             partition_keys=[["c_custkey"], ["o_custkey"]],
@@ -246,21 +275,19 @@ LIMIT 20
 
 
 def _q10_plan(db: dict, pushdown: bool) -> Plan:
-    nname = dict(zip(db["nation"].n_nationkey, db["nation"].n_name))
+    nname = lookup(db["nation"].n_nationkey, db["nation"].n_name)
 
-    def cust_map(df):
-        return df.assign(n_name=df.c_nationkey.map(nname))[
-            ["c_custkey", "c_acctbal", "n_name"]
-        ]
+    def cust_map(d):
+        return d.out(["c_custkey", "c_acctbal", "n_name"],
+                     n_name=nname(d.c_nationkey))
 
-    def ord_map(df):
-        m = (df.o_orderdate >= D("1993-10-01")) & (df.o_orderdate < D("1994-01-01"))
-        return df[m][["o_orderkey", "o_custkey"]]
+    def ord_map(d):
+        m = (d.o_orderdate >= D("1993-10-01")) & (d.o_orderdate < D("1994-01-01"))
+        return d.out(["o_orderkey", "o_custkey"], m)
 
-    def li_map(df):
-        return df[df.l_returnflag == "R"][
-            ["l_orderkey", "l_extendedprice", "l_discount"]
-        ]
+    def li_map(d):
+        return d.out(["l_orderkey", "l_extendedprice", "l_discount"],
+                     d.l_returnflag == "R")
 
     stages: list = [
         ScanStage("customer", cust_map),
@@ -311,55 +338,46 @@ GROUP BY n_name
 
 def _q5_plan(db: dict, pushdown: bool) -> Plan:
     nat, reg = db["nation"], db["region"]
-    asia = set(
-        nat[nat.n_regionkey.isin(reg[reg.r_name == "ASIA"].r_regionkey)].n_nationkey
-    )
-    nname = dict(zip(nat.n_nationkey, nat.n_name))
+    asia = nat[nat.n_regionkey.isin(reg[reg.r_name == "ASIA"].r_regionkey)]
+    asia = asia.n_nationkey.to_numpy()
+    nname = lookup(nat.n_nationkey, nat.n_name)
 
-    def ord_map(df):
-        m = (df.o_orderdate >= D("1994-01-01")) & (df.o_orderdate < D("1995-01-01"))
-        return df[m][["o_orderkey", "o_custkey"]]
+    def ord_map(d):
+        m = (d.o_orderdate >= D("1994-01-01")) & (d.o_orderdate < D("1995-01-01"))
+        return d.out(["o_orderkey", "o_custkey"], m)
 
-    def cust_map(df):
-        return df[["c_custkey", "c_nationkey"]]
-
-    def li_map(df):
-        return df[["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]]
-
-    def supp_map(df):
-        return df[df.s_nationkey.isin(asia)][["s_suppkey", "s_nationkey"]]
+    def supp_map(d):
+        return d.out(["s_suppkey", "s_nationkey"], np.isin(d.s_nationkey, asia))
 
     def post_final(d):
-        d = d[d.c_nationkey == d.s_nationkey]
-        return d.assign(n_name=d.s_nationkey.map(nname))[
-            ["n_name", "l_extendedprice", "l_discount"]
-        ]
+        return d.out(["n_name", "l_extendedprice", "l_discount"],
+                     d.c_nationkey == d.s_nationkey, n_name=nname(d.s_nationkey))
 
     stages: list = [
         ScanStage("orders", ord_map),    # 0
-        ScanStage("customer", cust_map), # 1
+        ScanStage("customer", lambda d: d.out(["c_custkey", "c_nationkey"])),  # 1
         OpStage(                         # 2: orders ⋈ customer
             make_op=lambda: SymmetricHashJoin(
                 ["o_custkey"], ["c_custkey"],
-                select=["o_orderkey", "c_nationkey"],
+                lambda d: d.out(["o_orderkey", "c_nationkey"]),
             ),
             upstreams=[0, 1],
             partition_keys=[["o_custkey"], ["c_custkey"]],
         ),
-        ScanStage("lineitem", li_map),   # 3
+        ScanStage("lineitem", lambda d: d.out(  # 3
+            ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])),
         OpStage(                         # 4: ⋈ lineitem
             make_op=lambda: SymmetricHashJoin(
                 ["o_orderkey"], ["l_orderkey"],
-                select=["l_suppkey", "l_extendedprice", "l_discount", "c_nationkey"],
+                lambda d: d.out(["l_suppkey", "l_extendedprice", "l_discount",
+                                 "c_nationkey"]),
             ),
             upstreams=[2, 3],
             partition_keys=[["o_orderkey"], ["l_orderkey"]],
         ),
         ScanStage("supplier", supp_map), # 5
         OpStage(                         # 6: ⋈ supplier
-            make_op=lambda: SymmetricHashJoin(
-                ["l_suppkey"], ["s_suppkey"], post=post_final
-            ),
+            make_op=lambda: SymmetricHashJoin(["l_suppkey"], ["s_suppkey"], post_final),
             upstreams=[4, 5],
             partition_keys=[["l_suppkey"], ["s_suppkey"]],
         ),
@@ -390,38 +408,25 @@ GROUP BY supp_nation, cust_nation, l_year
 
 def _q7_plan(db: dict, pushdown: bool) -> Plan:
     nat = db["nation"]
-    fr_de = dict(
-        zip(
-            nat[nat.n_name.isin(["FRANCE", "GERMANY"])].n_nationkey,
-            nat[nat.n_name.isin(["FRANCE", "GERMANY"])].n_name,
-        )
-    )
+    fr_de = nat[nat.n_name.isin(["FRANCE", "GERMANY"])].n_nationkey.to_numpy()
+    nname = lookup(nat.n_nationkey, nat.n_name)
 
-    def supp_map(df):
-        d = df[df.s_nationkey.isin(fr_de)]
-        return d.assign(supp_nation=d.s_nationkey.map(fr_de))[
-            ["s_suppkey", "supp_nation"]
-        ]
+    def supp_map(d):
+        return d.out(["s_suppkey", "supp_nation"], np.isin(d.s_nationkey, fr_de),
+                     supp_nation=nname(d.s_nationkey))
 
-    def li_map(df):
-        m = (df.l_shipdate >= D("1995-01-01")) & (df.l_shipdate <= D("1996-12-31"))
-        d = df[m]
-        return d.assign(l_year=d.l_shipdate.dt.year.astype("int64"), volume=_rev(d))[
-            ["l_orderkey", "l_suppkey", "l_year", "volume"]
-        ]
+    def li_map(d):
+        m = (d.l_shipdate >= D("1995-01-01")) & (d.l_shipdate <= D("1996-12-31"))
+        return d.out(["l_orderkey", "l_suppkey", "l_year", "volume"], m,
+                     l_year=_year(d.l_shipdate), volume=_rev(d))
 
-    def ord_map(df):
-        return df[["o_orderkey", "o_custkey"]]
-
-    def cust_map(df):
-        d = df[df.c_nationkey.isin(fr_de)]
-        return d.assign(cust_nation=d.c_nationkey.map(fr_de))[
-            ["c_custkey", "cust_nation"]
-        ]
+    def cust_map(d):
+        return d.out(["c_custkey", "cust_nation"], np.isin(d.c_nationkey, fr_de),
+                     cust_nation=nname(d.c_nationkey))
 
     def post_final(d):
         m = d.supp_nation != d.cust_nation  # (FR,DE) or (DE,FR)
-        return d[m][["supp_nation", "cust_nation", "l_year", "volume"]]
+        return d.out(["supp_nation", "cust_nation", "l_year", "volume"], m)
 
     stages: list = [
         ScanStage("supplier", supp_map),  # 0
@@ -429,25 +434,23 @@ def _q7_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(                          # 2: supplier ⋈ lineitem
             make_op=lambda: SymmetricHashJoin(
                 ["s_suppkey"], ["l_suppkey"],
-                select=["l_orderkey", "supp_nation", "l_year", "volume"],
+                lambda d: d.out(["l_orderkey", "supp_nation", "l_year", "volume"]),
             ),
             upstreams=[0, 1],
             partition_keys=[["s_suppkey"], ["l_suppkey"]],
         ),
-        ScanStage("orders", ord_map),     # 3
+        ScanStage("orders", lambda d: d.out(["o_orderkey", "o_custkey"])),  # 3
         OpStage(                          # 4: ⋈ orders
             make_op=lambda: SymmetricHashJoin(
                 ["l_orderkey"], ["o_orderkey"],
-                select=["o_custkey", "supp_nation", "l_year", "volume"],
+                lambda d: d.out(["o_custkey", "supp_nation", "l_year", "volume"]),
             ),
             upstreams=[2, 3],
             partition_keys=[["l_orderkey"], ["o_orderkey"]],
         ),
         ScanStage("customer", cust_map),  # 5
         OpStage(                          # 6: ⋈ customer
-            make_op=lambda: SymmetricHashJoin(
-                ["o_custkey"], ["c_custkey"], post=post_final
-            ),
+            make_op=lambda: SymmetricHashJoin(["o_custkey"], ["c_custkey"], post_final),
             upstreams=[4, 5],
             partition_keys=[["o_custkey"], ["c_custkey"]],
         ),
@@ -483,34 +486,29 @@ GROUP BY o_year
 
 def _q8_plan(db: dict, pushdown: bool) -> Plan:
     nat, reg = db["nation"], db["region"]
-    america = set(
-        nat[nat.n_regionkey.isin(reg[reg.r_name == "AMERICA"].r_regionkey)].n_nationkey
-    )
-    nname = dict(zip(nat.n_nationkey, nat.n_name))
-    s_nat = dict(zip(db["supplier"].s_suppkey, db["supplier"].s_nationkey))
+    america = nat[nat.n_regionkey.isin(reg[reg.r_name == "AMERICA"].r_regionkey)]
+    america = america.n_nationkey.to_numpy()
+    nname = lookup(nat.n_nationkey, nat.n_name)
+    s_nat = lookup(db["supplier"].s_suppkey, db["supplier"].s_nationkey)
 
-    def part_map(df):
-        return df[df.p_type == "ECONOMY"][["p_partkey"]]
+    def part_map(d):
+        return d.out(["p_partkey"], d.p_type == "ECONOMY")
 
-    def li_map(df):
-        return df.assign(volume=_rev(df))[
-            ["l_orderkey", "l_partkey", "l_suppkey", "volume"]
-        ]
+    def li_map(d):
+        return d.out(["l_orderkey", "l_partkey", "l_suppkey", "volume"],
+                     volume=_rev(d))
 
-    def ord_map(df):
-        m = (df.o_orderdate >= D("1995-01-01")) & (df.o_orderdate <= D("1996-12-31"))
-        d = df[m]
-        return d.assign(o_year=d.o_orderdate.dt.year.astype("int64"))[
-            ["o_orderkey", "o_custkey", "o_year"]
-        ]
+    def ord_map(d):
+        m = (d.o_orderdate >= D("1995-01-01")) & (d.o_orderdate <= D("1996-12-31"))
+        return d.out(["o_orderkey", "o_custkey", "o_year"], m,
+                     o_year=_year(d.o_orderdate))
 
-    def cust_map(df):
-        return df[df.c_nationkey.isin(america)][["c_custkey"]]
+    def cust_map(d):
+        return d.out(["c_custkey"], np.isin(d.c_nationkey, america))
 
     def post_final(d):
-        return d.assign(nation=d.l_suppkey.map(s_nat).map(nname))[
-            ["o_year", "volume", "nation"]
-        ]
+        return d.out(["o_year", "volume", "nation"],
+                     nation=nname(s_nat(d.l_suppkey)))
 
     stages: list = [
         ScanStage("part", part_map),      # 0
@@ -518,7 +516,7 @@ def _q8_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(                          # 2: part ⋈ lineitem
             make_op=lambda: SymmetricHashJoin(
                 ["p_partkey"], ["l_partkey"],
-                select=["l_orderkey", "l_suppkey", "volume"],
+                lambda d: d.out(["l_orderkey", "l_suppkey", "volume"]),
             ),
             upstreams=[0, 1],
             partition_keys=[["p_partkey"], ["l_partkey"]],
@@ -527,16 +525,14 @@ def _q8_plan(db: dict, pushdown: bool) -> Plan:
         OpStage(                          # 4: ⋈ orders
             make_op=lambda: SymmetricHashJoin(
                 ["l_orderkey"], ["o_orderkey"],
-                select=["o_custkey", "o_year", "l_suppkey", "volume"],
+                lambda d: d.out(["o_custkey", "o_year", "l_suppkey", "volume"]),
             ),
             upstreams=[2, 3],
             partition_keys=[["l_orderkey"], ["o_orderkey"]],
         ),
         ScanStage("customer", cust_map),  # 5
         OpStage(                          # 6: ⋈ customer
-            make_op=lambda: SymmetricHashJoin(
-                ["o_custkey"], ["c_custkey"], post=post_final
-            ),
+            make_op=lambda: SymmetricHashJoin(["o_custkey"], ["c_custkey"], post_final),
             upstreams=[4, 5],
             partition_keys=[["o_custkey"], ["c_custkey"]],
         ),
@@ -547,7 +543,7 @@ def _q8_plan(db: dict, pushdown: bool) -> Plan:
     }
 
     def derived(d):
-        return d.assign(mkt_share=d["__num"] / d["__den"])[["o_year", "mkt_share"]]
+        return d.out(["o_year", "mkt_share"], mkt_share=d["__num"] / d["__den"])
 
     _agg_stages(stages, 6, ["o_year"], aggs, pushdown=pushdown, derived=derived)
     return Plan("q8", stages)
@@ -572,61 +568,48 @@ GROUP BY nation, o_year
 
 
 def _q9_plan(db: dict, pushdown: bool) -> Plan:
-    nname = dict(zip(db["nation"].n_nationkey, db["nation"].n_name))
-    s_nat = dict(zip(db["supplier"].s_suppkey, db["supplier"].s_nationkey))
+    nname = lookup(db["nation"].n_nationkey, db["nation"].n_name)
+    s_nat = lookup(db["supplier"].s_suppkey, db["supplier"].s_nationkey)
 
-    def part_map(df):
-        return df[df.p_type == "ECONOMY"][["p_partkey"]]
+    li_cols = ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice",
+               "l_discount"]
 
-    def li_map(df):
-        return df[
-            ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
-             "l_extendedprice", "l_discount"]
-        ]
+    def part_map(d):
+        return d.out(["p_partkey"], d.p_type == "ECONOMY")
 
-    def ps_map(df):
-        return df[["ps_partkey", "ps_suppkey", "ps_supplycost"]]
-
-    def ord_map(df):
-        return df.assign(o_year=df.o_orderdate.dt.year.astype("int64"))[
-            ["o_orderkey", "o_year"]
-        ]
+    def ord_map(d):
+        return d.out(["o_orderkey", "o_year"], o_year=_year(d.o_orderdate))
 
     def post_ps(d):
         amount = _rev(d) - d.ps_supplycost * d.l_quantity
-        return d.assign(amount=amount)[["l_orderkey", "l_suppkey", "amount"]]
+        return d.out(["l_orderkey", "l_suppkey", "amount"], amount=amount)
 
     def post_final(d):
-        return d.assign(nation=d.l_suppkey.map(s_nat).map(nname))[
-            ["nation", "o_year", "amount"]
-        ]
+        return d.out(["nation", "o_year", "amount"],
+                     nation=nname(s_nat(d.l_suppkey)))
 
     stages: list = [
         ScanStage("part", part_map),      # 0
-        ScanStage("lineitem", li_map),    # 1
+        ScanStage("lineitem", lambda d: d.out(li_cols)),  # 1
         OpStage(                          # 2: part ⋈ lineitem
             make_op=lambda: SymmetricHashJoin(
-                ["p_partkey"], ["l_partkey"],
-                select=["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
-                        "l_extendedprice", "l_discount"],
+                ["p_partkey"], ["l_partkey"], lambda d: d.out(li_cols)
             ),
             upstreams=[0, 1],
             partition_keys=[["p_partkey"], ["l_partkey"]],
         ),
-        ScanStage("partsupp", ps_map),    # 3
+        ScanStage("partsupp", lambda d: d.out(  # 3
+            ["ps_partkey", "ps_suppkey", "ps_supplycost"])),
         OpStage(                          # 4: ⋈ partsupp on (partkey, suppkey)
             make_op=lambda: SymmetricHashJoin(
-                ["l_partkey", "l_suppkey"], ["ps_partkey", "ps_suppkey"],
-                post=post_ps,
+                ["l_partkey", "l_suppkey"], ["ps_partkey", "ps_suppkey"], post_ps
             ),
             upstreams=[2, 3],
             partition_keys=[["l_partkey", "l_suppkey"], ["ps_partkey", "ps_suppkey"]],
         ),
         ScanStage("orders", ord_map),     # 5
         OpStage(                          # 6: ⋈ orders
-            make_op=lambda: SymmetricHashJoin(
-                ["l_orderkey"], ["o_orderkey"], post=post_final
-            ),
+            make_op=lambda: SymmetricHashJoin(["l_orderkey"], ["o_orderkey"], post_final),
             upstreams=[4, 5],
             partition_keys=[["l_orderkey"], ["o_orderkey"]],
         ),
@@ -657,26 +640,23 @@ GROUP BY l_shipmode
 
 
 def _q12_plan(db: dict, pushdown: bool) -> Plan:
-    def ord_map(df):
-        return df[["o_orderkey", "o_orderpriority"]]
-
-    def li_map(df):
+    def li_map(d):
         m = (
-            df.l_shipmode.isin(["MAIL", "SHIP"])
-            & (df.l_commitdate < df.l_receiptdate)
-            & (df.l_shipdate < df.l_commitdate)
-            & (df.l_receiptdate >= D("1994-01-01"))
-            & (df.l_receiptdate < D("1995-01-01"))
+            np.isin(d.l_shipmode, ["MAIL", "SHIP"])
+            & (d.l_commitdate < d.l_receiptdate)
+            & (d.l_shipdate < d.l_commitdate)
+            & (d.l_receiptdate >= D("1994-01-01"))
+            & (d.l_receiptdate < D("1995-01-01"))
         )
-        return df[m][["l_orderkey", "l_shipmode"]]
+        return d.out(["l_orderkey", "l_shipmode"], m)
 
     stages: list = [
-        ScanStage("orders", ord_map),
+        ScanStage("orders", lambda d: d.out(["o_orderkey", "o_orderpriority"])),
         ScanStage("lineitem", li_map),
         OpStage(
             make_op=lambda: SymmetricHashJoin(
                 ["o_orderkey"], ["l_orderkey"],
-                select=["l_shipmode", "o_orderpriority"],
+                lambda d: d.out(["l_shipmode", "o_orderpriority"]),
             ),
             upstreams=[0, 1],
             partition_keys=[["o_orderkey"], ["l_orderkey"]],
@@ -704,24 +684,20 @@ WHERE l_partkey = p_partkey
 
 
 def _q14_plan(db: dict, pushdown: bool) -> Plan:
-    def part_map(df):
-        return df[["p_partkey", "p_type"]]
+    def li_map(d):
+        m = (d.l_shipdate >= D("1995-09-01")) & (d.l_shipdate < D("1995-10-01"))
+        return d.out(["l_partkey", "l_extendedprice", "l_discount"], m)
 
-    def li_map(df):
-        m = (df.l_shipdate >= D("1995-09-01")) & (df.l_shipdate < D("1995-10-01"))
-        return df[m][["l_partkey", "l_extendedprice", "l_discount"]]
+    def post(d):
+        rev = _rev(d)
+        return d.out(["rev", "promo"], rev=rev,
+                     promo=np.where(d.p_type == "PROMO", rev, 0.0))
 
     stages: list = [
-        ScanStage("part", part_map),
+        ScanStage("part", lambda d: d.out(["p_partkey", "p_type"])),
         ScanStage("lineitem", li_map),
         OpStage(
-            make_op=lambda: SymmetricHashJoin(
-                ["p_partkey"], ["l_partkey"],
-                post=lambda d: d.assign(
-                    rev=_rev(d),
-                    promo=np.where(d.p_type == "PROMO", _rev(d), 0.0),
-                )[["rev", "promo"]],
-            ),
+            make_op=lambda: SymmetricHashJoin(["p_partkey"], ["l_partkey"], post),
             upstreams=[0, 1],
             partition_keys=[["p_partkey"], ["l_partkey"]],
         ),
@@ -729,9 +705,8 @@ def _q14_plan(db: dict, pushdown: bool) -> Plan:
     aggs = {"__promo": lambda d: d.promo, "__rev": lambda d: d.rev}
 
     def derived(d):
-        return d.assign(promo_revenue=100.0 * d["__promo"] / d["__rev"])[
-            ["promo_revenue"]
-        ]
+        return d.out(["promo_revenue"],
+                     promo_revenue=100.0 * d["__promo"] / d["__rev"])
 
     _agg_stages(stages, 2, [], aggs, pushdown=pushdown, derived=derived,
                 final_width=1)

@@ -124,8 +124,10 @@ def kind(parts):
 @pytest.mark.parametrize("ext", [False, True], ids=["numpy", "extension"])
 @pytest.mark.parametrize("post", [False, True], ids=["no-post", "post"])
 def test_join_output_same_for_frames_slices_and_gathers(ext, post):
-    fn = (lambda d: d[d.lf > 0.3]) if post else None
-    joins = {way: SymmetricHashJoin(["lk"], ["rk"], post=fn)
+    left, right = sides(5, 1, ext)
+    names = list(left[0].columns) + list(right[0].columns)
+    fn = (lambda d: d.out(names, d.lf > 0.3)) if post else None
+    joins = {way: SymmetricHashJoin(["lk"], ["rk"], fn)
              for way in ("frame", "batch")}
     kinds = set()
     for side, parts in feeds(5, ext):

@@ -241,9 +241,11 @@ def test_partial_then_final(shape, compact_rows):
 
 
 def test_derived_map_gets_the_grouped_frame():
+    """The array ``derived`` map over the flushed columns gives what the
+    pandas one gave over the grouped frame."""
     batches = _batches(6, ["str"], na=False)
-    derived = lambda d: d.assign(avg=d.si / d.n)  # noqa: E731
-    new, ref = _pair(["k0"], derived=derived)
+    new = HashAgg(["k0"], AGGS, derived=lambda d: d.out(["k0", *AGGS, "avg"], avg=d.si / d.n))
+    ref = PandasHashAgg(["k0"], AGGS, derived=lambda d: d.assign(avg=d.si / d.n))
     got, got_sizes = _run(new, batches, "columns")
     want, want_sizes = _run(ref, batches, "frame")
     assert got_sizes == want_sizes

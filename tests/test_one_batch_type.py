@@ -1,15 +1,18 @@
 """The engine moves one batch type: column batches.
 
-Frames exist only where data enters or leaves the engine (source tables,
-``RunResult.df``) and inside pandas callbacks (scan maps, a join's
-``post``, an aggregation's ``derived``, ``TopK``'s state). Every task
-output, delivered slice, inbox entry, backup, spool entry and client
-part is a :class:`~repro.engine.util.ColumnBatch` or ``None``, and every
-operator is fed column batches. The queries cover a fused scan into a
-partial aggregation (q1), ``TopK`` (q3), a join ``post`` (q14) and
-``post_ps``/``post_final`` (q9), with and without a failure, under
-upstream backup and under spooling.
+Frames exist only where data enters or leaves the engine: source tables,
+and ``RunResult.df``, the one frame a run builds. Fused maps (scan maps,
+join projections, ``derived`` maps) and ``TopK``'s state work on column
+arrays. Every task output, delivered slice, inbox entry, backup, spool
+entry and client part is a :class:`~repro.engine.util.ColumnBatch` or
+``None``, and every operator is fed column batches. The queries cover a
+fused scan into a partial aggregation (q1), ``TopK`` (q3), q14's join
+projection and q9's ``post_ps``/``post_final``, with and without a
+failure, under upstream backup and under spooling.
 """
+import sys
+
+import pandas as pd
 import pytest
 
 from repro.engine import operators
@@ -61,6 +64,36 @@ def fed(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def built(monkeypatch):
+    """Where frames are built: (function, its caller) of every
+    ``pd.DataFrame`` constructor call, and the function of every
+    ``pd.concat`` call (``concat_batches``' fallback for mixed schemas)."""
+    sites = {"DataFrame": [], "concat": []}
+    init, concat = pd.DataFrame.__init__, pd.concat
+
+    def counted_init(self, *args, **kwargs):
+        f = sys._getframe(1)
+        sites["DataFrame"].append((f.f_code.co_name, f.f_back.f_code.co_name))
+        init(self, *args, **kwargs)
+
+    def counted_concat(*args, **kwargs):
+        sites["concat"].append(sys._getframe(1).f_code.co_name)
+        return concat(*args, **kwargs)
+
+    monkeypatch.setattr(pd.DataFrame, "__init__", counted_init)
+    monkeypatch.setattr(pd, "concat", counted_concat)
+    return sites
+
+
+def _only_the_result_frame(built, where):
+    """The run built one frame, ``RunResult.df`` (``to_frame`` called by
+    ``Executor.run``), and never fell back to ``pd.concat``."""
+    assert built["DataFrame"] == [("to_frame", "run")], where
+    assert built["concat"] == [], f"{where}: concat_batches fell back to pd.concat"
+    built["DataFrame"].clear()
+
+
 def _run(db, tables, qname, ft_mode, failures=()):
     ex = _Checked(QUERIES[qname].plan(db), tables, ExecConfig(n_workers=4, ft_mode=ft_mode))
     res = ex.run(list(failures))
@@ -71,8 +104,9 @@ def _run(db, tables, qname, ft_mode, failures=()):
 
 @pytest.mark.parametrize("ft_mode", ["wal", "spool_s3"])
 @pytest.mark.parametrize("qname", ["q1", "q3", "q14", "q9"])
-def test_engine_moves_only_column_batches(db, tables, fed, qname, ft_mode):
+def test_engine_moves_only_column_batches(db, tables, fed, built, qname, ft_mode):
     ex, res = _run(db, tables, qname, ft_mode)
+    _only_the_result_frame(built, f"{qname} normal run")
     assert len(res.df) and ex.client
     held = list(ex.held())
     if ft_mode == "wal":
@@ -80,6 +114,7 @@ def test_engine_moves_only_column_batches(db, tables, fed, qname, ft_mode):
     else:
         assert any(where.startswith("spooled") and b is not None for where, b in held)
     killed_ex, killed = _run(db, tables, qname, ft_mode, [Failure(1, 0.5 * res.sim_time)])
+    _only_the_result_frame(built, f"{qname} killed run")
     assert killed.stats["n_recoveries"] == 1
     assert killed.stats["n_replays"] + killed.stats["n_rescans"] > 0
     assert list(killed.df.columns) == list(res.df.columns)

@@ -1,10 +1,12 @@
 """Operator kernels vs pandas reference implementations."""
+from typing import Optional
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.engine import operators
-from repro.engine.operators import HashAgg, SymmetricHashJoin, TopK
+from repro.engine.operators import HashAgg, SymmetricHashJoin, TopK, _View
 from repro.engine.util import ColumnBatch, as_columns, pdf_nbytes, row_nbytes
 
 
@@ -86,53 +88,91 @@ def test_join_multi_column_keys():
 
 
 def test_join_post_map_applied(left_batches, right_batches):
-    j = SymmetricHashJoin(["lk"], ["rk"], post=lambda d: d[d.lv > 0.5][["lk", "lv"]])
+    j = SymmetricHashJoin(["lk"], ["rk"], lambda d: d.out(["lk", "lv"], d.lv > 0.5))
     got = _drive(j, [(0, left_batches[0]), (1, right_batches[0])])
-    if len(got):
-        assert list(got.columns) == ["lk", "lv"]
-        assert (got.lv > 0.5).all()
+    assert len(got)
+    assert list(got.columns) == ["lk", "lv"]
+    assert (got.lv > 0.5).all()
 
 
 @pytest.mark.parametrize("first", [0, 1])
 def test_join_select_equals_projection_post(left_batches, right_batches, first):
-    """``select`` gives the frame a projecting ``post`` gave, as a column
-    batch of the same width, whichever side probes."""
+    """A projection that selects columns and one that filters and derives
+    give what the pandas maps give on the join's full output frame, as
+    column batches of the same width, whichever side probes; the state
+    is the same as without a projection."""
     cols = ["rv", "lk", "lv"]
+    maps = {
+        "select": (lambda d: d.out(cols), lambda f: f[cols]),
+        "filter": (
+            lambda d: d.out(["lk", "x"], d.rv > 0.3, x=d.lv * (1 - d.rv)),
+            lambda f: f[f.rv > 0.3].assign(x=f.lv * (1 - f.rv))[["lk", "x"]],
+        ),
+    }
     feed = [(0, b) for b in left_batches[:2]] + [(1, b) for b in right_batches[:2]]
     if first == 1:
         feed = feed[2:] + feed[:2]
     feed += [(0, left_batches[2]), (1, right_batches[2])]
-    sel = SymmetricHashJoin(["lk"], ["rk"], select=cols)
-    post = SymmetricHashJoin(["lk"], ["rk"], post=lambda d: d[cols])
+    full = SymmetricHashJoin(["lk"], ["rk"])
+    joins = {name: SymmetricHashJoin(["lk"], ["rk"], fn) for name, (fn, _) in maps.items()}
     emitted = 0
     for side, batch in feed:
         batch = as_columns(batch)
-        a, b = sel.on_batch(side, batch), post.on_batch(side, batch)
-        assert (a is None) == (b is None)
-        if a is None:
-            continue
-        emitted += 1
-        assert isinstance(a, ColumnBatch) and a.names == cols
-        assert row_nbytes(a) == row_nbytes(b)
-        pd.testing.assert_frame_equal(a.to_frame(), b.to_frame())
-        assert sel.state_nbytes() == post.state_nbytes()
-    assert emitted >= 2
+        want = full.on_batch(side, batch)
+        for name, (_, ref) in maps.items():
+            got = joins[name].on_batch(side, batch)
+            assert joins[name].state_nbytes() == full.state_nbytes()
+            ref_out = None if want is None else ref(want.to_frame())
+            if ref_out is None or not len(ref_out):
+                assert got is None
+                continue
+            emitted += 1
+            ref_out = as_columns(ref_out)
+            assert isinstance(got, ColumnBatch) and got.names == ref_out.names
+            assert row_nbytes(got) == row_nbytes(ref_out)
+            pd.testing.assert_frame_equal(got.to_frame(), ref_out.to_frame())
+    assert emitted >= 4
 
 
 def test_join_select_rejects_bad_projections():
-    with pytest.raises(ValueError, match="not both"):
-        SymmetricHashJoin(["lk"], ["rk"], post=lambda d: d, select=["lk"])
-    with pytest.raises(ValueError, match="no column"):
-        SymmetricHashJoin(["lk"], ["rk"], select=[])
-    with pytest.raises(ValueError, match=r"\['lv'\] more than once"):
-        SymmetricHashJoin(["lk"], ["rk"], select=["lv", "rk", "lv"])
+    left = as_columns(pd.DataFrame({"lk": [1], "lv": [0.5]}))
+    right = as_columns(pd.DataFrame({"rk": [1], "rv": [2.0]}))
+    for names, match in (([], "no column"),
+                         (["lv", "rk", "lv"], r"\['lv'\] more than once")):
+        j = SymmetricHashJoin(["lk"], ["rk"], lambda d, names=names: d.out(names))
+        j.on_batch(0, left)
+        with pytest.raises(ValueError, match=match):
+            j.on_batch(1, right)
 
 
 def test_join_select_of_a_missing_column_fails_at_first_output():
-    j = SymmetricHashJoin(["lk"], ["rk"], select=["lv", "nope"])
+    j = SymmetricHashJoin(["lk"], ["rk"], lambda d: d.out(["lv", "nope"]))
     assert j.on_batch(0, as_columns(pd.DataFrame({"lk": [1], "lv": [0.5]}))) is None
     with pytest.raises(ValueError, match="'nope'"):
         j.on_batch(1, as_columns(pd.DataFrame({"rk": [1], "rv": [2.0]})))
+
+
+def test_projection_of_a_view_fails_early_on_malformed_names():
+    frame = pd.DataFrame({"a": [1, 2, 3], "b": [0.5, 1.5, 2.5]})
+    for d in (_View.of_frame(frame), _View.of_batch(as_columns(frame))):
+        with pytest.raises(ValueError, match="no column"):
+            d.out([])
+        with pytest.raises(ValueError, match=r"\['a'\] more than once"):
+            d.out(["a", "b", "a"])
+        with pytest.raises(ValueError, match="'c'"):
+            d.out(["a", "c"])
+        with pytest.raises(ValueError, match="'x' has 2 rows"):
+            d.out(["a", "x"], x=np.zeros(2))
+        with pytest.raises(AttributeError):
+            d.c  # noqa: B018
+        out = d.out(["b", "x"], d.a > 1, x=d.a * 2)
+        pd.testing.assert_frame_equal(
+            out.to_frame(), pd.DataFrame({"b": [1.5, 2.5], "x": [4, 6]})
+        )
+        empty = d.out(["a", "b"], d.a > 9)
+        assert len(empty) == 0 and empty.width == 16
+    with pytest.raises(ValueError, match="at least one column"):
+        ColumnBatch.of_arrays({})
 
 
 def test_join_empty_batches_are_noops():
@@ -328,7 +368,7 @@ def test_hashagg_derived_map():
     agg = HashAgg(
         ["k"],
         {"s": lambda d: d.v, "n": lambda d: np.ones(len(d), dtype="int64")},
-        derived=lambda d: d.assign(avg=d.s / d.n),
+        derived=lambda d: d.out(["k", "s", "n", "avg"], avg=d.s / d.n),
     )
     agg.on_batch(0, as_columns(pd.DataFrame({"k": [1, 1, 2], "v": [2.0, 4.0, 10.0]})))
     out = agg.flush().to_frame().set_index("k")
@@ -357,6 +397,85 @@ def test_hashagg_empty_flush_none():
 
 
 # ------------------------------------------------------------------- TopK
+
+class PandasTopK:
+    """The frame ``TopK`` the array one replaced, kept as the reference:
+    its state is a frame, ordered by ``sort_values`` after each batch."""
+
+    def __init__(self, sort_by, ascending, k, select=None):
+        self.sort_by, self.ascending, self.k, self.select = sort_by, ascending, k, select
+        self._state: Optional[pd.DataFrame] = None
+
+    def on_batch(self, upstream_idx, batch):
+        if batch is None or len(batch) == 0:
+            return None
+        pdf = batch.to_frame()
+        merged = (
+            pdf
+            if self._state is None
+            else pd.concat([self._state, pdf], ignore_index=True)
+        )
+        self._state = (
+            merged.sort_values(self.sort_by, ascending=self.ascending)
+            .head(self.k)
+            .reset_index(drop=True)
+        )
+        return None
+
+    def flush(self):
+        if self._state is None:
+            return None
+        out = self._state
+        if self.select is not None:
+            out = out[self.select]
+        return as_columns(out)
+
+    def state_nbytes(self):
+        return pdf_nbytes(self._state)
+
+
+def _topk_batches(seed, n_batches=6):
+    """Batches with many ties in ``r`` (broken by ``k``, and rows equal
+    in both, told apart only by ``p``), NaN in ``r``, dates and strings."""
+    g = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_batches):
+        n = int(g.integers(1, 30))
+        r = g.integers(0, 4, n) / 2.0
+        r[g.random(n) < 0.15] = np.nan
+        out.append(pd.DataFrame({
+            "r": r,
+            "k": g.integers(0, 5, n),
+            "d": np.datetime64("1995-01-01", "us")
+            + g.integers(0, 6, n).astype("timedelta64[D]"),
+            "s": np.array([f"s{v}" for v in g.integers(0, 4, n)], dtype=object),
+            "p": g.random(n),
+        }))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 7, 500], ids=["k1", "k7", "k-above-rows"])
+@pytest.mark.parametrize("order", [
+    (["r", "k"], [False, True]),
+    (["r", "k"], [True, False]),
+    (["d", "r"], [False, True]),
+    (["s", "d", "k"], [False, True, False]),
+    (["k", "s"], [False, False]),
+], ids=["r-desc", "r-asc", "date-desc", "str-desc", "int-desc"])
+@pytest.mark.parametrize("select", [None, ["p", "k"]], ids=["all", "select"])
+def test_topk_matches_the_pandas_topk(order, k, select):
+    """Same rows in the same order, with the same dtypes, and the same
+    ``state_nbytes`` after every batch: checkpoint cost reads it."""
+    sort_by, ascending = order
+    new, ref = TopK(sort_by, ascending, k, select), PandasTopK(sort_by, ascending, k, select)
+    for b in _topk_batches(len(sort_by) * 10 + k):
+        cb = as_columns(b)
+        assert new.on_batch(0, cb) is None and ref.on_batch(0, cb) is None
+        assert new.state_nbytes() == ref.state_nbytes()
+    got, want = new.flush(), ref.flush()
+    assert got.names == want.names and got.width == want.width
+    pd.testing.assert_frame_equal(got.to_frame(), want.to_frame())
+
 
 def test_topk_matches_sort_head():
     g = np.random.default_rng(6)
