@@ -78,6 +78,10 @@ class LineageStore:
             ops.append(["set", "closed", encode_channel(cid), int(close_total)])
         self.gcs.transaction(ops)
 
+    def close_channel(self, cid: ChannelId, total: int) -> None:
+        """Close a channel outside a task commit (one with no outputs)."""
+        self.gcs.set("closed", encode_channel(cid), int(total))
+
     # -- reads ---------------------------------------------------------------
 
     def lineage(self, cid: ChannelId) -> list[LineageRecord]:

@@ -171,6 +171,8 @@ class ChannelRt:
         self.worker = worker
         self.upstream_cids = upstream_cids
         self.uidx = uidx
+        #: position of each upstream in ``upstream_cids`` (breaks ties)
+        self.upos = {u: i for i, u in enumerate(upstream_cids)}
         self.op = op
         self.scan_batches = scan_batches
         self.next_seq = 0
@@ -188,6 +190,19 @@ class ChannelRt:
         #: something a build reads changed since the last build (see
         #: :meth:`Executor._mark`)
         self.dirty = True
+        self.reset_runs()
+
+    def reset_runs(self) -> None:
+        """Forget every upstream's run, so the next streaming build walks
+        them all. Between resets a build walks only ``touched``: the
+        upstreams whose inputs, watermark or close changed since the last
+        build. ``ready`` maps each upstream whose run qualifies now to
+        (-take, position), so the least entry is the richest run, the
+        first on a tie; ``open`` holds the upstreams not yet closed and
+        drained."""
+        self.touched: set[ChannelId] = set(self.upstream_cids)
+        self.ready: dict[ChannelId, tuple[int, int]] = {}
+        self.open: set[ChannelId] = set(self.upstream_cids)
 
 
 class Executor:
@@ -270,6 +285,14 @@ class Executor:
         for cid, rt in sorted(self.channels.items()):
             self.host[rt.worker].append(cid)
         self._cursor: dict[int, int] = {w.wid: 0 for w in self.workers}
+        #: marked channels hosted on each worker (every channel starts marked)
+        self.marked: dict[int, int] = {w: len(c) for w, c in self.host.items()}
+        #: upstream-stage channels not yet closed, per stage (stagewise gate)
+        self.open_ups: list[int] = [
+            sum(self.widths[up] for up in spec.upstreams)
+            if isinstance(spec, OpStage) else 0
+            for spec in plan.stages
+        ]
 
         # -- event machinery -------------------------------------------------
         #: (time, seq, event): a task's completion, a failure, or the
@@ -323,7 +346,8 @@ class Executor:
         self._ran = True
         for cid, rt in self.channels.items():
             if isinstance(rt.spec, ScanStage) and not rt.scan_batches:
-                self.store.gcs.set("closed", f"{cid[0]}.{cid[1]}", 0)
+                self.store.close_channel(cid, 0)
+                self._apply_close(cid)
                 rt.done = True
         for f in failures:
             self._push(f.at_time, f)
@@ -362,23 +386,35 @@ class Executor:
     # -------------------------------------------------------------- scheduling
 
     def _stage_ready(self, sid: int) -> bool:
-        if self.cfg.exec_mode != "stagewise":
-            return True
-        for up in self.plan.stages[sid].upstreams:
-            for ch in range(self.widths[up]):
-                if self.store.closed_total((up, ch)) is None:
-                    return False
-        return True
+        return self.cfg.exec_mode != "stagewise" or self.open_ups[sid] == 0
 
     def _mark(self, cid: ChannelId) -> None:
         """Let ``cid`` be built again: something its build reads changed
         (a delivery, its own completion, an upstream's close, recovery).
         A clean channel's build would return no task, so it is skipped."""
-        self.channels[cid].dirty = True
+        rt = self.channels[cid]
+        if not rt.dirty:
+            rt.dirty = True
+            self.marked[rt.worker] += 1
+
+    def _apply_close(self, cid: ChannelId) -> None:
+        """Apply the close of ``cid`` to its consumer stage: one fewer open
+        upstream channel, and every consumer channel that reads ``cid``
+        walks it again."""
+        cons = self.plan.consumer_of(cid[0])
+        if cons is None:
+            return
+        self.open_ups[cons[0]] -= 1
+        for ch in range(self.widths[cons[0]]):
+            crt = self.channels[(cons[0], ch)]
+            if cid in crt.uidx:
+                crt.touched.add(cid)
+            self._mark(crt.cid)
 
     def _schedule_pass(self, now: float) -> None:
         """Fill the free slots of every live worker: queued recovery
-        tasks first, then marked channels round-robin."""
+        tasks first, then marked channels round-robin. A worker with
+        neither is skipped."""
         if self.paused:
             return
         for w in self.workers:
@@ -388,8 +424,7 @@ class Executor:
                 if self.queued[w.wid]:
                     self._launch_queued(now, w, self.queued[w.wid].popleft())
                     continue
-                launched = self._launch_some_channel(now, w)
-                if not launched:
+                if not self.marked[w.wid] or not self._launch_some_channel(now, w):
                     break
 
     def _launch_some_channel(self, now: float, w: Worker) -> bool:
@@ -401,9 +436,12 @@ class Executor:
         for off in range(n):
             cid = cids[(start + off) % n]
             rt = self.channels[cid]
-            if rt.active or rt.done or not rt.dirty:
+            if not rt.dirty:
                 continue
             rt.dirty = False
+            self.marked[w.wid] -= 1
+            if rt.active or rt.done:
+                continue  # its completion, or recovery, marks it again
             task = self._build_task(rt)
             if task is not None:
                 self._cursor[w.wid] = (start + off + 1) % n
@@ -470,6 +508,7 @@ class Executor:
         bytes_in = pdf_nbytes(merged)
         out = None if merged is None else rt.op.on_batch(rt.uidx[u], merged)
         rt.watermark[u] = start + k
+        rt.touched.add(u)
         return out, bytes_in
 
     def _build_retrace(self, rt: ChannelRt) -> Optional[Task]:
@@ -498,19 +537,20 @@ class Executor:
         return Task("retrace", rt.cid, outputs, bytes_in=bytes_in)
 
     def _build_streaming(self, rt: ChannelRt) -> Optional[Task]:
-        """Take one upstream's run of inputs, or flush, in one walk over
-        the upstreams. An empty-slice prefix at a watermark is skipped
-        without a task: a real engine does not push empty shuffle
-        partitions, and consuming one leaves the operator state as it
-        was, so it needs no lineage. A run is taken when it holds
-        ``need`` inputs or all that its closed upstream has left, up to
-        ``cap``; the richest run wins, the first on a tie."""
+        """Take one upstream's run of inputs, or flush. Only the upstreams
+        touched since the last build are walked again (see
+        :meth:`ChannelRt.reset_runs`). An empty-slice prefix at a
+        watermark is skipped without a task: a real engine does not push
+        empty shuffle partitions, and consuming one leaves the operator
+        state as it was, so it needs no lineage. A run is taken when it
+        holds ``need`` inputs or all that its closed upstream has left, up
+        to ``cap``; the richest run wins, the first in ``upstream_cids``
+        on a tie. Once every upstream is closed and drained, it flushes."""
         if self.cfg.dep_mode == "static":
             need = cap = self.cfg.static_batch
         else:
             need, cap = DYNAMIC_MIN, None
-        best_u, best_take, drained = None, 0, True
-        for u in rt.upstream_cids:
+        for u in rt.touched:
             box = rt.inbox.get(u, {})
             w = w0 = rt.watermark.get(u, 0)
             while w in box and box[w] is None:
@@ -521,25 +561,33 @@ class Executor:
             avail = 0
             while (w + avail) in box:
                 avail += 1
-            closed = self.store.closed_total(u)
-            if closed is None or w + avail < closed:
-                drained = False
-            if avail >= need or (closed is not None and avail == closed - w):
+            if avail < need and u in rt.open:
+                # Only a close lets a short run qualify. A run that
+                # qualifies anyway is revisited after it is taken, so
+                # ``open`` is exact whenever ``ready`` is empty.
+                closed = self.store.closed_total(u)
+                if closed is not None and w + avail >= closed:
+                    rt.open.discard(u)
+            # a drained upstream's run is all it has left
+            if avail >= need or (avail and u not in rt.open):
                 take = avail if cap is None else min(avail, cap)
-                if take > best_take:
-                    best_u, best_take = u, take
+                rt.ready[u] = (-take, rt.upos[u])
+            else:
+                rt.ready.pop(u, None)
+        rt.touched.clear()
 
-        if best_u is not None:
-            start = rt.watermark.get(best_u, 0)
-            out, bytes_in = self._gather(self.store, rt, best_u, start, best_take)
+        if rt.ready:
+            u = min(rt.ready, key=rt.ready.__getitem__)
+            start, take = rt.watermark.get(u, 0), -rt.ready[u][0]
+            out, bytes_in = self._gather(self.store, rt, u, start, take)
             return Task(
                 "stream",
                 rt.cid,
                 [(rt.next_seq, out)],
-                [ConsumeLineage(best_u, start, best_take)],
+                [ConsumeLineage(u, start, take)],
                 bytes_in,
             )
-        if drained and not rt.flushed:
+        if not rt.open and not rt.flushed:
             # Every upstream output consumed: emit the state variable.
             out = rt.op.flush()
             rt.flushed = True
@@ -696,6 +744,7 @@ class Executor:
         box = drt.inbox.setdefault(u, {})
         if seq not in box:
             box[seq] = sl
+            drt.touched.add(u)
             self._mark(dest)
 
     def _persist(self, wid: int, name: TaskName, out) -> Optional[int | str]:
@@ -754,10 +803,8 @@ class Executor:
                 and self.store.closed_total(cid) is not None
             ):
                 rt.done = True
-            cons = self.plan.consumer_of(cid[0])
-            if task.close is not None and cons is not None:
-                for ch in range(self.widths[cons[0]]):
-                    self._mark((cons[0], ch))
+            if task.close is not None:
+                self._apply_close(cid)
         self.workers[wid].free_slots += 1
         if self.paused:
             if self.n_active == 0 and self.pending_recover:
@@ -854,7 +901,8 @@ class Executor:
         for r in rplan.replays:
             wid = self.channels[r.dest].worker if r.owner == DURABLE else r.owner
             self.queued[wid].append(r)
-        for cid in self.channels:
+        for cid, rt in self.channels.items():
+            rt.reset_runs()
             self._mark(cid)
         self.paused = False
         self.store.set_recovery_flag(False)
@@ -864,6 +912,9 @@ class Executor:
         rt = self.channels[cid]
         if cid in self.host[rt.worker]:
             self.host[rt.worker].remove(cid)
+        if rt.dirty:
+            self.marked[rt.worker] -= 1
+            self.marked[new_worker] += 1
         rt.worker = new_worker
         self.host[new_worker].append(cid)
         self.store.set_assignment(cid, new_worker)
