@@ -68,7 +68,7 @@ from .operators import Operator, _View
 from .partition import partition
 from .plan import OpStage, Plan, ScanStage
 from .simtime import CostModel
-from .util import ColumnBatch, as_columns, concat_batches, pdf_nbytes, row_nbytes
+from .util import ColumnBatch, concat_batches, pdf_nbytes, row_nbytes
 
 #: Task slots per worker (TaskManager threads of one r6id instance).
 SLOTS_PER_WORKER = 2
@@ -182,7 +182,6 @@ class ChannelRt:
         self.watermark: dict[ChannelId, int] = {}
         #: pushed inputs: slices, or whole outputs over a fused edge
         self.inbox: dict[ChannelId, dict[int, Optional[ColumnBatch]]] = {}
-        self.flushed = False
         self.active = False
         self.started = False
         self.done = False
@@ -209,10 +208,22 @@ class Executor:
     def __init__(
         self,
         plan: Plan,
-        tables: dict[str, list[pd.DataFrame]],
+        tables: dict[str, list[ColumnBatch]],
         cfg: ExecConfig,
         store: Optional[LineageStore] = None,
     ) -> None:
+        for table in sorted(plan.tables()):
+            if table not in tables:
+                raise ValueError(
+                    f"{plan.name}: a scan reads table {table!r}, which is not "
+                    f"among the tables given ({sorted(tables)})"
+                )
+            for i, batch in enumerate(tables[table]):
+                if not isinstance(batch, ColumnBatch):
+                    raise TypeError(
+                        f"batch {i} of table {table!r} is a {type(batch).__name__}, "
+                        "not a ColumnBatch (see synth_data.split_batches)"
+                    )
         self.plan = plan
         self.tables = tables
         self.cfg = cfg
@@ -464,10 +475,10 @@ class Executor:
         return self._build_streaming(rt)
 
     def _scan(self, spec: ScanStage, batch_idx: int):
-        """Read one source batch through the fused map: (output as a
-        column batch, or None when empty; bytes read)."""
+        """Read one source batch through the fused map: (output, or None
+        when empty; bytes read)."""
         raw = self.tables[spec.table][batch_idx]
-        out = spec.map_fn(_View.of_frame(raw)) if spec.map_fn else as_columns(raw)
+        out = spec.map_fn(_View.of_batch(raw)) if spec.map_fn else raw
         return (out if len(out) else None), pdf_nbytes(raw)
 
     def _build_scan(self, rt: ChannelRt) -> Optional[Task]:
@@ -530,7 +541,6 @@ class Executor:
                 bytes_in += b
             elif isinstance(rec, FlushLineage):
                 out = rt.op.flush()
-                rt.flushed = True
             else:  # pragma: no cover - scan channels are never rewound
                 raise AssertionError(rec)
             outputs.append((seq, out))
@@ -587,10 +597,11 @@ class Executor:
                 [ConsumeLineage(u, start, take)],
                 bytes_in,
             )
-        if not rt.open and not rt.flushed:
+        if not rt.open:
             # Every upstream output consumed: emit the state variable.
+            # The flush task closes the channel when it commits, and the
+            # channel is active until then, so it is never built again.
             out = rt.op.flush()
-            rt.flushed = True
             return Task(
                 "stream",
                 rt.cid,
@@ -882,7 +893,6 @@ class Executor:
             rt.monolithic = self.cfg.recovery_mode == "data_parallel"
             rt.watermark = {}
             rt.inbox = {}
-            rt.flushed = False
             rt.active = False
             rt.done = False
         for cid in rplan.rewound_inputs:

@@ -24,7 +24,7 @@ import numpy as np
 import pandas as pd
 
 from .partition import key_hash
-from .util import ColumnBatch, column_array, concat_batches, dtype_width, pdf_nbytes
+from .util import ColumnBatch, concat_batches, dtype_width, pdf_nbytes
 
 
 class Operator(ABC):
@@ -274,14 +274,6 @@ class _View:
     def of_batch(cls, batch: ColumnBatch) -> "_View":
         names, cols = batch.names, batch.cols
         return cls(lambda c: cols[names.index(c)] if c in names else None, len(batch))
-
-    @classmethod
-    def of_frame(cls, frame: pd.DataFrame) -> "_View":
-        """A source batch's columns, read as :func:`~repro.engine.util.as_columns`
-        reads them."""
-        return cls(
-            lambda c: column_array(frame[c]) if c in frame.columns else None, len(frame)
-        )
 
     def __len__(self) -> int:
         return self._rows

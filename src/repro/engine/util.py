@@ -18,20 +18,17 @@ def dtype_width(dtype) -> int:
     return getattr(dtype, "itemsize", None) or 24
 
 
-def pdf_nbytes(batch: Optional[ColumnBatch | pd.DataFrame]) -> int:
+def pdf_nbytes(batch: Optional[ColumnBatch]) -> int:
     """Approximate wire/storage size of a batch, in bytes: rows times
-    :func:`row_nbytes`. ``None`` (the empty-output sentinel) is 0 bytes.
-    A frame is sized only as a source batch."""
+    :func:`row_nbytes`. ``None`` (the empty-output sentinel) is 0 bytes."""
     if batch is None or len(batch) == 0:
         return 0
     return row_nbytes(batch) * len(batch)
 
 
-def row_nbytes(batch: ColumnBatch | pd.DataFrame) -> int:
+def row_nbytes(batch: ColumnBatch) -> int:
     """Bytes per row: the sum of :func:`dtype_width` over the columns."""
-    if isinstance(batch, ColumnBatch):
-        return batch.width
-    return sum(dtype_width(dtype) for dtype in batch.dtypes.to_numpy())
+    return batch.width
 
 
 class ColumnBatch:
@@ -106,17 +103,14 @@ class ColumnBatch:
         return pd.DataFrame(data, index=None if data else pd.RangeIndex(self.rows))
 
 
-def column_array(s: pd.Series):
-    """A frame column's values as :class:`ColumnBatch` holds them."""
-    return s.to_numpy() if isinstance(s.dtype, np.dtype) else s.array
-
-
 def as_columns(frame: pd.DataFrame) -> ColumnBatch:
-    """A frame's columns, each read once, as a column batch: where a
-    source batch without a fused map enters the engine."""
+    """A frame's columns, each read once, as a column batch: numpy
+    arrays for numpy dtypes, pandas arrays otherwise. A source table
+    enters the engine this way, once (see ``synth_data.split_batches``),
+    as does ``concat_batches``' ``pd.concat`` fallback."""
     cols, width = [], 0
     for _, s in frame.items():
-        cols.append(column_array(s))
+        cols.append(s.to_numpy() if isinstance(s.dtype, np.dtype) else s.array)
         width += dtype_width(s.dtype)
     return ColumnBatch(list(frame.columns), cols, len(frame), width)
 

@@ -4,12 +4,11 @@ SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
 benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
 DuckDB oracle sees identical input.
 
-Two layers:
-
-* ``*_pdf(sf, seed)`` — pandas generators. The engine substrate, the
-  DuckDB oracle and fast unit tests consume these directly.
-* ``lineitem(spark, ...)`` etc. — Spark wrappers over the pandas
-  generators, used by the real-SparkSQL baseline and the Spark jobs.
+The ``*_pdf(sf, seed)`` generators return pandas frames, which the
+DuckDB oracle, the real-SparkSQL baseline (through
+``sparkbridge.sparksql.register_views``) and query planning read.
+:func:`split_batches` turns a table into the column batches the engine
+scans.
 
 All eight TPC-H tables are provided (lineitem, orders, customer, part,
 supplier, partsupp, nation, region) with the column subset needed by the
@@ -20,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+
+from .engine.util import ColumnBatch, as_columns
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
@@ -52,10 +52,6 @@ def _rng(seed: int) -> np.random.Generator:
 def _n(per_sf: int, sf: float) -> int:
     return max(1, int(per_sf * sf))
 
-
-# ---------------------------------------------------------------------------
-# pandas generators
-# ---------------------------------------------------------------------------
 
 def lineitem_pdf(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     """Fact table. Keys reference orders/part/supplier at the same ``sf``."""
@@ -222,87 +218,24 @@ def tpch_db(*, sf: float = 0.01) -> dict[str, pd.DataFrame]:
     return {name: gen(sf=sf) for name, gen in PDF_GENERATORS.items()}
 
 
-def split_batches(pdf: pd.DataFrame, n_batches: int) -> list[pd.DataFrame]:
-    """Split a table into ``n_batches`` row-group-like batches.
+def split_batches(pdf: pd.DataFrame, n_batches: int) -> list[ColumnBatch]:
+    """Split a table into ``n_batches`` row-group-like column batches.
 
-    Models Parquet row groups in replayable cloud storage: the batch list
-    is deterministic, so input tasks can be replayed by index after a
-    failure (the paper's replayable-input assumption).
+    Models Parquet row groups in replayable cloud storage: the table is
+    read into columns once, and each batch is a read-only view of a row
+    range of them, so the batch list is deterministic and input tasks can
+    be replayed by index after a failure (the paper's replayable-input
+    assumption). A kernel that writes into its input raises instead of
+    changing what a rescan re-reads.
     """
+    table = as_columns(pdf)
     n_batches = max(1, min(n_batches, len(pdf)))
     bounds = np.linspace(0, len(pdf), n_batches + 1).astype(int)
-    return [
-        pdf.iloc[bounds[i] : bounds[i + 1]].reset_index(drop=True)
-        for i in range(n_batches)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Spark wrappers
-# ---------------------------------------------------------------------------
-
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    return spark.createDataFrame(lineitem_pdf(sf=sf, seed=seed))
-
-
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    return spark.createDataFrame(orders_pdf(sf=sf, seed=seed))
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    return spark.createDataFrame(customer_pdf(sf=sf, seed=seed))
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    return spark.createDataFrame(part_pdf(sf=sf, seed=seed))
-
-
-def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFrame:
-    return spark.createDataFrame(supplier_pdf(sf=sf, seed=seed))
-
-
-def partsupp(spark: SparkSession, *, sf: float = 0.01, seed: int = 7) -> DataFrame:
-    return spark.createDataFrame(partsupp_pdf(sf=sf, seed=seed))
-
-
-def nation(spark: SparkSession, **_: object) -> DataFrame:
-    return spark.createDataFrame(nation_pdf())
-
-
-def region(spark: SparkSession, **_: object) -> DataFrame:
-    return spark.createDataFrame(region_pdf())
-
-
-def register_tpch_views(
-    spark: SparkSession, *, sf: float = 0.01
-) -> dict[str, pd.DataFrame]:
-    """Create temp views for all tables; return the pandas frames used.
-
-    Returning the pandas frames lets callers hand the *same* data to the
-    DuckDB oracle, so Spark and DuckDB provably read identical input.
-    """
-    db = tpch_db(sf=sf)
-    for name, pdf in db.items():
-        spark.createDataFrame(pdf).createOrReplaceTempView(name)
-    return db
-
-
-def zipf_keys(
-    spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3
-) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(
-    spark: SparkSession, *, n: int, n_keys: int, seed: int = 4
-) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )
+    batches = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        cols = [col[lo:hi] for col in table.cols]
+        for col in cols:
+            if isinstance(col, np.ndarray):
+                col.flags.writeable = False
+        batches.append(ColumnBatch(table.names, cols, int(hi - lo), table.width))
+    return batches

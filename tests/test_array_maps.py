@@ -232,7 +232,8 @@ def check(fn, ref, frame: pd.DataFrame, view: _View, where: str, filtered: set) 
     assert_same(got, want, where)
     if len(want) < len(frame):
         dropped = frame.drop(index=want.index).reset_index(drop=True)
-        assert_same(fn(_View.of_frame(dropped)), ref(dropped), f"{where}, all filtered")
+        assert_same(fn(_View.of_batch(as_columns(dropped))), ref(dropped),
+                    f"{where}, all filtered")
         filtered.add(where.split(" batch")[0])
     return got
 
@@ -259,7 +260,7 @@ def test_scan_maps_equal_the_pandas_maps(db, tables, qname):
     filtered: set = set()
     for sid, st in scans.items():
         for b, raw in enumerate(tables[st.table]):
-            check(st.map_fn, refs[sid], raw, _View.of_frame(raw),
+            check(st.map_fn, refs[sid], raw.to_frame(), _View.of_batch(raw),
                   f"{qname} scan {sid} batch {b}", filtered)
     assert filtered == _filtering(qname, "scan")
 

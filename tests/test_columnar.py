@@ -140,7 +140,7 @@ def test_join_output_same_for_frames_slices_and_gathers(ext, post):
         if got["frame"] is not None:
             want = got["frame"].to_frame()
             pd.testing.assert_frame_equal(got["batch"].to_frame(), want)
-            assert row_nbytes(got["batch"]) == row_nbytes(want)
+            assert row_nbytes(got["batch"]) == row_nbytes(as_columns(want))
             assert isinstance(got["batch"], ColumnBatch)
         assert joins["frame"].state_nbytes() == joins["batch"].state_nbytes()
     # the feeds covered lone slices, and gathers concatenated column by
@@ -162,7 +162,7 @@ def test_join_infers_timestamp_objects_like_the_frame_constructor():
     frame = out.to_frame()
     assert frame["lo"].dtype == "datetime64[ns]"
     assert out.width == 8 + 8 + 8 + 8  # the Timestamp column is 8, not 24
-    assert out.width == row_nbytes(frame)
+    assert out.width == as_columns(frame).width
     # the frame the join built before emitting column batches (rows come
     # grouped by key hash; every key matches its equal on the other side)
     cols = {c: left[c].to_numpy() for c in left} | {c: right[c].to_numpy() for c in right}
@@ -190,8 +190,8 @@ def test_pdf_nbytes_of_a_batch_equals_that_of_its_frame():
     batches.append(concat_batches(partition(out, ["rs"], N)))
     for b in batches:
         assert isinstance(b, ColumnBatch)
-        assert pdf_nbytes(b) == pdf_nbytes(b.to_frame())
-        assert row_nbytes(b) == row_nbytes(b.to_frame())
+        assert pdf_nbytes(b) == as_columns(b.to_frame()).nbytes
+        assert row_nbytes(b) == as_columns(b.to_frame()).width
 
 
 def test_partition_of_a_backed_up_batch_gives_the_pushed_slices():

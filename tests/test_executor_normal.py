@@ -126,3 +126,18 @@ def test_run_rejects_failure_of_unknown_worker(db, tables, wid):
     ex = Executor(QUERIES["q6"].plan(db), tables, ExecConfig(n_workers=4))
     with pytest.raises(ValueError, match="worker"):
         ex.run([Failure(wid, 0.1)])
+
+
+def test_executor_rejects_a_table_the_plan_scans_but_is_not_given(db, tables):
+    partial = {k: v for k, v in tables.items() if k != "orders"}
+    with pytest.raises(ValueError, match="q3: a scan reads table 'orders'"):
+        Executor(QUERIES["q3"].plan(db), partial, ExecConfig(n_workers=4))
+
+
+def test_executor_rejects_a_batch_that_is_not_a_column_batch(db, tables):
+    """A frame from an older caller fails at construction, not mid-run."""
+    batches = list(tables["lineitem"])
+    batches[3] = batches[3].to_frame()
+    with pytest.raises(TypeError, match="batch 3 of table 'lineitem' is a DataFrame"):
+        Executor(QUERIES["q6"].plan(db), {**tables, "lineitem": batches},
+                 ExecConfig(n_workers=4))

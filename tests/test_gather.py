@@ -3,7 +3,7 @@
 A consumer's gather must materialise to exactly the frame that
 concatenating frame-per-slice shuffle output with ``pd.concat`` gives
 (values, dtypes, column order, ``RangeIndex``), and size it exactly as
-``pdf_nbytes`` of that frame: simulated time depends on it.
+the column batch of that frame: simulated time depends on it.
 """
 import numpy as np
 import pandas as pd
@@ -121,7 +121,7 @@ def test_gather_equals_concat_of_frame_slices(case):
         pd.testing.assert_frame_equal(got, want, check_index_type=True)
         assert isinstance(got.index, pd.RangeIndex)
         assert list(got.columns) == ["k", "s", "d", "v"]
-        assert nbytes == pdf_nbytes(want)
+        assert nbytes == as_columns(want).nbytes
         # the public concat is the same frame
         pd.testing.assert_frame_equal(concat_batches(parts).to_frame(), want)
 
@@ -141,7 +141,7 @@ def test_single_channel_slice_is_the_batch():
     assert s is cb
     assert concat_batches([None, s, None]) is s
     pd.testing.assert_frame_equal(s.to_frame(), pdf)
-    assert s.nbytes == pdf_nbytes(pdf)
+    assert s.nbytes == len(pdf) * sum(dtype_width(d) for d in pdf.dtypes)
 
 
 def test_empty_and_none_gather():
@@ -175,8 +175,9 @@ def test_extension_dtype_widths(ext):
     assert dtype_width(d["c"]) == d["c"].itemsize
     assert dtype_width(d["b"]) == 1
     assert dtype_width(d["t"]) == 8
-    assert row_nbytes(ext) == 8 + 8 + 24 + d["c"].itemsize + 1 + 8
-    assert pdf_nbytes(ext) == 40 * row_nbytes(ext)
+    cb = as_columns(ext)
+    assert row_nbytes(cb) == 8 + 8 + 24 + d["c"].itemsize + 1 + 8
+    assert pdf_nbytes(cb) == 40 * row_nbytes(cb)
 
 
 def test_extension_dtypes_round_trip(ext):
@@ -186,13 +187,13 @@ def test_extension_dtypes_round_trip(ext):
         assert (s is None) == (want is None)
         if s is not None:
             pd.testing.assert_frame_equal(s.to_frame(), want)
-            assert s.width == row_nbytes(ext)
+            assert s.width == as_columns(ext).width
     parts = [s for s in slices if s is not None]
     got, nbytes = gather(parts)
     want = reference_concat(reference)
     pd.testing.assert_frame_equal(got, want)
     assert list(got.dtypes) == list(ext.dtypes)
-    assert nbytes == pdf_nbytes(want)
+    assert nbytes == as_columns(want).nbytes
 
 
 def test_object_column_of_timestamps_stays_object():
@@ -244,9 +245,9 @@ def _join_channel(db, tables):
 @pytest.mark.parametrize("path", ["streaming", "retrace"])
 def test_task_build_rejects_uncommitted_input(db, tables, path):
     ex, rt, u = _join_channel(db, tables)
-    pdf = ex.tables[ex.plan.stages[u[0]].table][0]
+    source = ex.tables[ex.plan.stages[u[0]].table][0]
     for seq in range(DYNAMIC_MIN):
-        ex._deliver(rt.cid, u, seq, partition(as_columns(pdf), [], 1)[0])
+        ex._deliver(rt.cid, u, seq, partition(source, [], 1)[0])
     if path == "retrace":
         rt.retrace_records = [ConsumeLineage(u, 0, DYNAMIC_MIN)]
     with pytest.raises(RuntimeError, match="not all committed"):

@@ -16,7 +16,7 @@ import pandas as pd
 import pytest
 
 from repro.engine.operators import HashAgg
-from repro.engine.util import ColumnBatch, as_columns, pdf_nbytes
+from repro.engine.util import ColumnBatch, as_columns
 
 
 class PandasHashAgg:
@@ -78,7 +78,7 @@ class PandasHashAgg:
         return as_columns(out) if len(out) else None
 
     def state_nbytes(self) -> int:
-        return sum(pdf_nbytes(c) for c in self._chunks)
+        return sum(as_columns(c).nbytes for c in self._chunks)
 
 
 def _keys(g, kind: str, n: int, na: bool):

@@ -1,7 +1,7 @@
 """The engine moves one batch type: column batches.
 
-Frames exist only where data enters or leaves the engine: source tables,
-and ``RunResult.df``, the one frame a run builds. Fused maps (scan maps,
+Source tables enter as column batches (``synth_data.split_batches``),
+and the one frame a run builds is ``RunResult.df``. Fused maps (scan maps,
 join projections, ``derived`` maps) and ``TopK``'s state work on column
 arrays. Every task output, delivered slice, inbox entry, backup, spool
 entry and client part is a :class:`~repro.engine.util.ColumnBatch` or

@@ -11,6 +11,7 @@ failure. The second half pins the take-or-flush rule of
 the upstreams touched since the last one.
 """
 import hashlib
+import heapq
 import itertools
 import json
 
@@ -110,7 +111,8 @@ U0, U1 = (0, 0), (1, 0)
 def _channel(**cfg):
     """An executor and its one consumer channel, which reads two
     single-channel upstreams ``U0`` and ``U1``."""
-    tables = {"a": [pd.DataFrame({"k": [1]})], "b": [pd.DataFrame({"k": [1]})]}
+    tables = {"a": [as_columns(pd.DataFrame({"k": [1]}))],
+              "b": [as_columns(pd.DataFrame({"k": [1]}))]}
     plan = Plan(
         "two-way",
         [
@@ -126,7 +128,7 @@ def _channel(**cfg):
 def _wide_channel(n):
     """An executor and its one consumer channel, which reads the ``n``
     channels of one scan stage."""
-    tables = {"a": [pd.DataFrame({"k": [1]})] * n}
+    tables = {"a": [as_columns(pd.DataFrame({"k": [1]}))] * n}
     plan = Plan(
         "wide",
         [ScanStage("a", n_channels=n), OpStage(_Recorder, [0], [[]], n_channels=1)],
@@ -218,7 +220,7 @@ def test_richest_upstream_wins_and_the_first_wins_a_tie():
     assert _taken(ex._build_streaming(rt)) == (U0, 0, 2)
 
 
-def test_flush_only_when_every_upstream_is_closed_and_consumed():
+def test_flush_only_when_every_upstream_is_closed_and_consumed(monkeypatch):
     ex, rt = _channel()
     _commit(ex, U0, 1, close=True)
     _deliver(ex, rt, U0, [0], empty=(0,))
@@ -230,7 +232,19 @@ def test_flush_only_when_every_upstream_is_closed_and_consumed():
     assert _taken(ex._build_streaming(rt)) == (U1, 0, 2)
     task = ex._build_streaming(rt)
     assert task.records == [FlushLineage()] and task.close == rt.next_seq + 1
-    assert rt.flushed and ex._build_streaming(rt) is None
+    # the launched flush keeps the channel active, so it is not built
+    # again however often it is marked, and its completion closes it
+    w = ex.workers[rt.worker]
+    ex._launch(0.0, w, rt, task)
+    built = []
+    monkeypatch.setattr(ex, "_build_task", built.append)
+    ex._mark(rt.cid)
+    assert not ex._launch_some_channel(0.0, w)
+    assert rt.active and rt not in built
+    ex.paused = True  # apply the completion without a scheduling pass
+    ex._apply_done(0.0, heapq.heappop(ex._heap)[2])
+    assert rt.done and not rt.active
+    assert ex.store.closed_total(rt.cid) == 1
 
 
 # ------------------------------------------------ per-upstream run state

@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro import synth_data as sd
+from repro.engine.util import ColumnBatch, as_columns
 
 
 @pytest.mark.parametrize("name", list(sd.PDF_GENERATORS))
@@ -69,13 +70,17 @@ def test_partsupp_pairs_unique():
     assert not ps.duplicated(["ps_partkey", "ps_suppkey"]).any()
 
 
+def _frame(batches):
+    return pd.concat([b.to_frame() for b in batches], ignore_index=True)
+
+
 def test_split_batches_roundtrip():
     li = sd.lineitem_pdf(sf=0.002)
     batches = sd.split_batches(li, 7)
     assert len(batches) == 7
-    pd.testing.assert_frame_equal(
-        pd.concat(batches, ignore_index=True), li.reset_index(drop=True)
-    )
+    assert all(isinstance(b, ColumnBatch) for b in batches)
+    pd.testing.assert_frame_equal(_frame(batches), li.reset_index(drop=True))
+    assert sum(b.nbytes for b in batches) == as_columns(li).nbytes
 
 
 def test_split_batches_more_than_rows():
@@ -90,7 +95,22 @@ def test_split_batches_deterministic():
     a = sd.split_batches(li, 5)
     b = sd.split_batches(li, 5)
     for x, y in zip(a, b):
-        pd.testing.assert_frame_equal(x, y)
+        pd.testing.assert_frame_equal(x.to_frame(), y.to_frame())
+
+
+def test_split_batches_are_read_only_views_of_the_table():
+    """The replayable source: a kernel that writes into its input raises
+    instead of changing what a rescan reads again."""
+    li = sd.lineitem_pdf(sf=0.002)
+    table = as_columns(li)
+    batch = sd.split_batches(li, 4)[1]
+    for name, col in zip(batch.names, batch.cols):
+        assert np.shares_memory(col, table.column(name)), name
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = col[1]
+    with pytest.raises(ValueError, match="read-only"):
+        batch.column("l_quantity")[:] *= 2
+    pd.testing.assert_frame_equal(_frame(sd.split_batches(li, 4)), li)
 
 
 def test_tpch_db_has_all_tables():
@@ -106,13 +126,3 @@ def test_dates_in_tpch_range():
     assert li.l_shipdate.min() >= pd.Timestamp("1992-01-01")
     assert li.l_shipdate.max() <= pd.Timestamp("1998-12-31")
 
-
-def test_zipf_keys_skewed(spark):
-    df = sd.zipf_keys(spark, n=5000, n_keys=100).toPandas()
-    counts = df.k.value_counts()
-    assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-
-def test_uniform_keys_cover(spark):
-    df = sd.uniform_keys(spark, n=5000, n_keys=10).toPandas()
-    assert df.k.nunique() == 10
