@@ -133,25 +133,10 @@ class Gcs:
     @classmethod
     def recover_from_journal(cls, journal_path: str) -> "Gcs":
         """Rebuild a store by replaying a journal file (head-node crash).
-
-        Every line is one JSON array, so no strict prefix of a line
-        parses. A final line that does not parse is a write the crash
-        tore: its transaction was never applied, and it is dropped. Any
-        earlier line that does not parse is corruption and raises
-        :class:`TransactionError`.
-        """
+        A transaction whose line the crash tore was never applied and is
+        dropped; corruption raises (see :func:`read_journal`)."""
         g = cls()
-        with open(journal_path) as fh:
-            lines = [(n, ln) for n, ln in enumerate(fh, 1) if ln.strip()]
-        for i, (n, line) in enumerate(lines):
-            try:
-                ops = json.loads(line)
-            except json.JSONDecodeError as e:
-                if i == len(lines) - 1:
-                    break
-                raise TransactionError(
-                    f"{journal_path}: line {n} is corrupt: {e}"
-                ) from e
+        for ops in read_journal(journal_path)[0]:
             g.transaction(ops)
         return g
 
@@ -162,3 +147,31 @@ class Gcs:
         for txn in journal:
             g.transaction(txn)
         return g
+
+
+def read_journal(path) -> tuple[list, int]:
+    """The records of a JSONL journal, and the bytes of the file they
+    fill: where the next record's line begins.
+
+    The writer ends every record, a JSON array or object, with a newline,
+    and no strict prefix of such a line parses. So a last line that does
+    not parse, or lacks its newline, is a write a crash tore: its record
+    was never committed, and it is dropped. Any earlier line that does
+    not parse is corruption and raises :class:`TransactionError`.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    records, end = [], 0
+    for n, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                rec = json.loads(line)
+            except ValueError as e:  # JSONDecodeError, or a torn UTF-8 sequence
+                if any(ln.strip() for ln in lines[n:]):
+                    raise TransactionError(f"{path}: line {n} is corrupt: {e}") from e
+                break
+            if not line.endswith(b"\n"):
+                break
+            records.append(rec)
+        end += len(line)
+    return records, end

@@ -711,9 +711,11 @@ class Executor:
                 # The planner only schedules replays whose backup location
                 # is a live worker; a missing key here is a protocol bug.
                 full = w.backups[source]
-            cstage, uidx = self.plan.consumer_of(source[0])
-            keys = self.plan.stages[cstage].partition_keys[uidx]
-            sl = partition(full, keys, self.widths[cstage])[dest[1]]
+            cid = (source[0], source[1])
+            (delivery,) = [
+                d for d in self._deliveries_for(cid, source[2], full) if d[0] == dest
+            ]
+            sl = delivery[3]
             nbytes = sl.nbytes if sl is not None else 0
             # Upstream backups are stored pre-partitioned (as Spark's map
             # outputs are), so a replay reads and ships only the slice
@@ -725,8 +727,7 @@ class Executor:
                 dw = self.channels[dest].worker
                 if dw != w.wid and sl is not None:
                     t = w.nic.reserve(t, cost.net_time(nbytes) + cost.push_lat_s)
-            cid = (source[0], source[1])
-            task = Task("replay", cid, [], deliveries=[(dest, cid, source[2], sl)])
+            task = Task("replay", cid, [], deliveries=[delivery])
         else:
             name = item.name
             cid = (name[0], name[1])

@@ -202,12 +202,7 @@ class SymmetricHashJoin(Operator):
         mine = self._sides[upstream_idx]
         other = self._sides[1 - upstream_idx]
         h = key_hash(batch, mine.keys)
-        # The key hash reads the columns as they are; probing, the key
-        # check and the append read numpy arrays.
-        cols = {
-            c: col if isinstance(col, np.ndarray) else col.to_numpy()
-            for c, col in zip(batch.names, batch.cols)
-        }
+        cols = dict(zip(batch.names, batch.cols))
         hit = other.probe(h)
         out = None
         if hit is not None:
@@ -374,9 +369,6 @@ class HashAgg(Operator):
         cols = {k: d[k] for k in self.keys}
         for col, fn in self.aggs.items():
             cols[col] = np.asarray(fn(d)) if self.raw else d[col]
-        for k, v in cols.items():
-            if not isinstance(v, np.ndarray):
-                raise TypeError(f"HashAgg column {k!r} is a {v.dtype} array, not numpy")
         self._state.append(cols, len(batch))
         self._nbytes += self._width(cols) * len(batch)
         # Amortised compaction keeps the state variable bounded by the

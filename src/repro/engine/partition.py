@@ -39,24 +39,14 @@ def _crc_hash(values, n: int) -> np.ndarray:
     )
 
 
-def _series_hash(s: pd.Series) -> np.ndarray:
-    if pd.api.types.is_datetime64_any_dtype(s):
-        return _mix64(s.astype("int64").to_numpy().view(np.uint64))
-    if pd.api.types.is_integer_dtype(s):
-        return _mix64(s.to_numpy().astype(np.int64).view(np.uint64))
-    if pd.api.types.is_float_dtype(s):
-        return _mix64(s.to_numpy().astype(np.float64).view(np.uint64))
-    return _crc_hash(s, len(s))
-
-
-def _col_hash(col) -> np.ndarray:
-    """Hash of every value of one column array, equal to hashing the
-    column as a Series. Numpy datetimes, integers, floats and objects are
-    hashed in place; every other array (bool, timedelta, extension
-    arrays) goes through the Series, whose dtype checks and element
-    types decide its hash: ``str`` of a ``np.timedelta64`` is not that of
-    a ``pd.Timedelta``."""
-    kind = col.dtype.kind if isinstance(col, np.ndarray) else None
+def _col_hash(col: np.ndarray) -> np.ndarray:
+    """Hash of every value of one column array. Datetimes, integers and
+    floats hash their 64-bit values and objects the CRC of their ``str``.
+    The rare other kinds (bool, timedelta, fixed-width strings) hash the
+    ``str`` of each value of the array as a Series, whose element types
+    decide it: ``str`` of a ``np.timedelta64`` is not that of a
+    ``pd.Timedelta``."""
+    kind = col.dtype.kind
     if kind == "M":
         return _mix64(col.view(np.int64).view(np.uint64))
     if kind in ("i", "u"):
@@ -65,7 +55,7 @@ def _col_hash(col) -> np.ndarray:
         return _mix64(col.astype(np.float64).view(np.uint64))
     if kind == "O":
         return _crc_hash(col, len(col))
-    return _series_hash(pd.Series(col, copy=False))
+    return _crc_hash(pd.Series(col, copy=False), len(col))
 
 
 def key_hash(batch: ColumnBatch, cols: list[str]) -> np.ndarray:

@@ -1,21 +1,19 @@
 """Shared data-plane helpers: column batches, their sizes and gathers."""
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from itertools import zip_longest
+from typing import Optional
 
 import numpy as np
 import pandas as pd
 
 
-def dtype_width(dtype) -> int:
-    """Bytes per value of a column of ``dtype``: numpy dtypes at their
-    item size except object (string) columns, which count a flat 24;
-    pandas extension dtypes at their ``itemsize`` when they have one, else
-    24. Cheap and stable, which matters because the cost model sizes
-    every task output."""
-    if isinstance(dtype, np.dtype):
-        return 24 if dtype == object else dtype.itemsize
-    return getattr(dtype, "itemsize", None) or 24
+def dtype_width(dtype: np.dtype) -> int:
+    """Bytes per value of a column of numpy ``dtype``: its item size,
+    except object (string) columns, which count a flat 24. Cheap and
+    stable, which matters because the cost model sizes every task
+    output."""
+    return 24 if dtype == object else dtype.itemsize
 
 
 def pdf_nbytes(batch: Optional[ColumnBatch]) -> int:
@@ -35,15 +33,17 @@ class ColumnBatch:
     """Rows held column by column — the one batch type the engine moves,
     in the role an Arrow record batch plays between the paper's kernels.
 
-    ``cols`` are numpy arrays for numpy dtypes and pandas extension arrays
-    otherwise (``to_numpy`` would lose an ``Int64`` with NA or a tz-aware
-    datetime), in ``names`` order. ``width`` is bytes per row under
-    :func:`dtype_width`, so sizing a batch walks no dtypes.
+    ``cols`` are numpy arrays, in ``names`` order: no pandas extension
+    array (``Int64``, ``string``, categorical, tz-aware) is ever a column.
+    The two places columns are born check it, :func:`as_columns` for a
+    frame and :meth:`of_arrays` for the arrays a kernel computes.
+    ``width`` is bytes per row under :func:`dtype_width`, so sizing a
+    batch walks no dtypes.
     """
 
     __slots__ = ("names", "cols", "rows", "width")
 
-    def __init__(self, names: list[str], cols: list, rows: int, width: int) -> None:
+    def __init__(self, names: list[str], cols: list[np.ndarray], rows: int, width: int) -> None:
         self.names = names
         self.cols = cols
         self.rows = rows
@@ -51,18 +51,25 @@ class ColumnBatch:
 
     @classmethod
     def of_arrays(cls, data: dict[str, np.ndarray]) -> "ColumnBatch":
-        """The columns ``pd.DataFrame(data)`` would hold: an object array
-        the frame constructor infers (all Timestamps become
-        ``datetime64[ns]``, say) is inferred the same way, which the
-        Series constructor shares with it. An array that starts with a
-        string cannot be inferred and is kept as is."""
+        """A batch of the numpy arrays ``data``; any other array raises
+        TypeError naming its column.
+
+        An object array the frame constructor infers to a numpy dtype
+        (all naive Timestamps become ``datetime64[ns]``, say) is inferred
+        the same way, through the Series constructor the two share. One
+        it would infer to an extension dtype (tz-aware Timestamps), or
+        one that starts with a string, is kept as is."""
         if not data:
             raise ValueError("a column batch needs at least one column")
         cols, width = [], 0
-        for col in data.values():
+        for name, col in data.items():
+            if not isinstance(col, np.ndarray):
+                kind = type(col).__name__
+                raise TypeError(f"column {name!r} is {kind} of {col.dtype}, not numpy")
             if col.dtype == object and len(col) and not isinstance(col[0], str):
                 s = pd.Series(col, copy=False)
-                col = s.to_numpy() if isinstance(s.dtype, np.dtype) else s.array
+                if isinstance(s.dtype, np.dtype):
+                    col = s.to_numpy()
             cols.append(col)
             width += dtype_width(col.dtype)
         return cls(list(data), cols, len(cols[0]), width)
@@ -91,12 +98,7 @@ class ColumnBatch:
         """
         data = {}
         for name, col in zip(self.names, self.cols):
-            if (
-                isinstance(col, np.ndarray)
-                and col.dtype == object
-                and len(col)
-                and not isinstance(col[0], str)
-            ):
+            if col.dtype == object and len(col) and not isinstance(col[0], str):
                 col = pd.Series(col, dtype=object, copy=False)
             data[name] = col
         # Columns imply the RangeIndex; only a frame without any needs one.
@@ -104,54 +106,53 @@ class ColumnBatch:
 
 
 def as_columns(frame: pd.DataFrame) -> ColumnBatch:
-    """A frame's columns, each read once, as a column batch: numpy
-    arrays for numpy dtypes, pandas arrays otherwise. A source table
-    enters the engine this way, once (see ``synth_data.split_batches``),
-    as does ``concat_batches``' ``pd.concat`` fallback."""
-    cols, width = [], 0
-    for _, s in frame.items():
-        cols.append(s.to_numpy() if isinstance(s.dtype, np.dtype) else s.array)
-        width += dtype_width(s.dtype)
+    """A frame's columns, each read once, as a column batch. A source
+    table enters the engine this way, once (see
+    ``synth_data.split_batches``). A column of a pandas extension dtype
+    raises TypeError naming it and its dtype."""
+    for name, dtype in frame.dtypes.items():
+        if not isinstance(dtype, np.dtype):
+            raise TypeError(f"column {name!r} has dtype {dtype}, not a numpy dtype")
+    cols = [s.to_numpy() for _, s in frame.items()]
+    width = sum(dtype_width(col.dtype) for col in cols)
     return ColumnBatch(list(frame.columns), cols, len(frame), width)
-
-
-def columnar(parts: Sequence[ColumnBatch]) -> bool:
-    """True when ``parts`` all have the same column names and the same
-    numpy dtypes. Such batches concatenate column by column into a batch
-    of that schema, so its size is the sum of theirs."""
-    first = parts[0]
-    if not all(isinstance(c, np.ndarray) for c in first.cols):
-        return False
-    for p in parts[1:]:
-        if p.names is first.names:
-            continue  # slices of one partition call share one schema
-        if p.names != first.names or any(
-            a.dtype != b.dtype for a, b in zip(p.cols, first.cols)
-        ):
-            return False
-    return True
 
 
 def concat_batches(batches: list[Optional[ColumnBatch]]) -> Optional[ColumnBatch]:
     """Concatenate batches, treating ``None`` and empty batches as absent;
     ``None`` if all are.
 
-    A lone batch is returned as is. Batches of one numpy schema become
-    one batch with one ``np.concatenate`` per column. Batches with
-    extension dtypes or schemas that differ go through ``pd.concat``, so
-    dtype promotion (int32 with int64 gives int64, say) is exactly
-    pandas'.
+    A lone batch is returned as is. Batches of one schema (the same
+    column names, each of the same dtype) become one batch with one
+    ``np.concatenate`` per column, so its size is the sum of theirs. A
+    batch whose schema differs from the first's raises ValueError naming
+    the first column that differs: one gather has one schema.
     """
     parts = [b for b in batches if b is not None and len(b)]
     if not parts:
         return None
     if len(parts) == 1:
         return parts[0]
-    if columnar(parts):
-        first = parts[0]
-        cols = [
-            np.concatenate([p.cols[i] for p in parts])
-            for i in range(len(first.names))
-        ]
-        return ColumnBatch(first.names, cols, sum(p.rows for p in parts), first.width)
-    return as_columns(pd.concat([p.to_frame() for p in parts], ignore_index=True))
+    first = parts[0]
+    for p in parts[1:]:
+        if p.names is not first.names and (
+            p.names != first.names
+            or any(a.dtype != b.dtype for a, b in zip(p.cols, first.cols))
+        ):
+            raise ValueError(_schema_difference(first, p))
+    cols = [
+        np.concatenate([p.cols[i] for p in parts])
+        for i in range(len(first.names))
+    ]
+    return ColumnBatch(first.names, cols, sum(p.rows for p in parts), first.width)
+
+
+def _schema_difference(a: ColumnBatch, b: ColumnBatch) -> str:
+    """Where ``b``'s schema first differs from ``a``'s."""
+    def schema(batch):
+        return [f"{n!r} ({c.dtype})" for n, c in zip(batch.names, batch.cols)]
+
+    for i, (x, y) in enumerate(zip_longest(schema(a), schema(b), fillvalue="no column")):
+        if x != y:
+            break
+    return f"batches of one gather differ at column {i}: {x} against {y}"

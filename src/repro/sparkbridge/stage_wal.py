@@ -29,6 +29,8 @@ from typing import Callable, Optional
 
 from pyspark.sql import DataFrame, SparkSession
 
+from ..core.gcs import read_journal
+
 
 class SimulatedCrash(RuntimeError):
     """Injected failure: the job process dies after a given stage."""
@@ -78,18 +80,17 @@ class StagedWalRunner:
     # -- journal -----------------------------------------------------------
 
     def _committed(self) -> dict[str, str]:
-        """stage -> published path, for records whose output still exists."""
+        """stage -> published path, for records whose output still exists.
+        A torn last record (see :func:`read_journal`) is cut from the file,
+        so the next commit starts its own line."""
         out: dict[str, str] = {}
         if not self.journal_path.exists():
             return out
-        with open(self.journal_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if os.path.isdir(rec["path"]):
-                    out[rec["stage"]] = rec["path"]
+        records, end = read_journal(self.journal_path)
+        os.truncate(self.journal_path, end)
+        for rec in records:
+            if os.path.isdir(rec["path"]):
+                out[rec["stage"]] = rec["path"]
         return out
 
     def _commit(self, stage: SparkStage, path: str) -> None:

@@ -235,7 +235,6 @@ def split_batches(pdf: pd.DataFrame, n_batches: int) -> list[ColumnBatch]:
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         cols = [col[lo:hi] for col in table.cols]
         for col in cols:
-            if isinstance(col, np.ndarray):
-                col.flags.writeable = False
+            col.flags.writeable = False
         batches.append(ColumnBatch(table.names, cols, int(hi - lo), table.width))
     return batches

@@ -3,8 +3,12 @@
 A consumer's gather must materialise to exactly the frame that
 concatenating frame-per-slice shuffle output with ``pd.concat`` gives
 (values, dtypes, column order, ``RangeIndex``), and size it exactly as
-the column batch of that frame: simulated time depends on it.
+the column batch of that frame: simulated time depends on it. Columns
+are numpy arrays, checked where they are born, and the batches of one
+gather share one schema: a gather of two schemas raises.
 """
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -12,16 +16,10 @@ import pytest
 from repro.core.naming import ConsumeLineage, ScanLineage
 from repro.core.wal import LineageStore
 from repro.engine.executor import DYNAMIC_MIN, ChannelRt, ExecConfig, Executor
-from repro.engine.operators import Operator
+from repro.engine.operators import Operator, _View
 from repro.engine.partition import hash_indices, partition
 from repro.engine.plan import OpStage
-from repro.engine.util import (
-    as_columns,
-    concat_batches,
-    dtype_width,
-    pdf_nbytes,
-    row_nbytes,
-)
+from repro.engine.util import ColumnBatch, as_columns, concat_batches, dtype_width
 from repro.queries.tpch import QUERIES
 
 N = 4  # consumer channels
@@ -98,12 +96,6 @@ def _rows(n, seed):
 CASES = {
     "one-slice": [batch(0, _rows(60, 0).astype("float64"))],
     "same-schema": [batch(i, _rows(60, i).astype("float64")) for i in range(5)],
-    "int32+int64": [batch(1, _rows(60, 1).astype("int32")),
-                    batch(2, _rows(60, 2).astype("int64"))],
-    "int64+float64": [batch(3, _rows(60, 3).astype("int64")),
-                      batch(4, _rows(60, 4).astype("float64"))],
-    "bool+int64": [batch(5, _rows(60, 5) > 0),
-                   batch(6, _rows(60, 6).astype("int64"))],
 }
 
 
@@ -150,50 +142,58 @@ def test_empty_and_none_gather():
     assert gather([]) == (None, 0)
 
 
-@pytest.fixture()
-def ext():
-    n = 40
-    return pd.DataFrame(
-        {
-            "k": np.arange(n) % 7,
-            "i": pd.array([None if i % 5 == 0 else i for i in range(n)],
-                          dtype="Int64"),
-            "s": pd.array([None if i % 6 == 0 else f"s{i}" for i in range(n)],
-                          dtype="string"),
-            "c": pd.Categorical([f"c{i % 3}" for i in range(n)]),
-            "b": pd.array([None if i % 4 == 0 else i % 2 == 0 for i in range(n)],
-                          dtype="boolean"),
-            "t": pd.date_range("2020-01-01", periods=n, freq="h", tz="UTC"),
-        }
-    )
+# ------------------------------------------------- one column type, one schema
 
 
-def test_extension_dtype_widths(ext):
-    d = ext.dtypes
-    assert dtype_width(d["i"]) == 8
-    assert dtype_width(d["s"]) == 24  # no itemsize
-    assert dtype_width(d["c"]) == d["c"].itemsize
-    assert dtype_width(d["b"]) == 1
-    assert dtype_width(d["t"]) == 8
-    cb = as_columns(ext)
-    assert row_nbytes(cb) == 8 + 8 + 24 + d["c"].itemsize + 1 + 8
-    assert pdf_nbytes(cb) == 40 * row_nbytes(cb)
+@pytest.mark.parametrize(
+    "dtype, values",
+    [
+        ("Int64", pd.array([1, None, 3], dtype="Int64")),
+        ("category", pd.Categorical(["a", "b", "a"])),
+        ("datetime64[ns, UTC]", pd.date_range("2020-01-01", periods=3, tz="UTC")),
+    ],
+    ids=["Int64", "categorical", "tz-aware"],
+)
+def test_as_columns_rejects_extension_columns_by_name(dtype, values):
+    frame = pd.DataFrame({"k": np.arange(3), "x": values})
+    with pytest.raises(TypeError, match=rf"column 'x' has dtype {re.escape(dtype)}, not"):
+        as_columns(frame)
 
 
-def test_extension_dtypes_round_trip(ext):
-    slices = partition(as_columns(ext), ["k"], N)
-    reference = reference_slices(ext, ["k"], N)
-    for s, want in zip(slices, reference):
-        assert (s is None) == (want is None)
-        if s is not None:
-            pd.testing.assert_frame_equal(s.to_frame(), want)
-            assert s.width == as_columns(ext).width
-    parts = [s for s in slices if s is not None]
-    got, nbytes = gather(parts)
-    want = reference_concat(reference)
-    pd.testing.assert_frame_equal(got, want)
-    assert list(got.dtypes) == list(ext.dtypes)
-    assert nbytes == as_columns(want).nbytes
+def test_of_arrays_rejects_a_pandas_array():
+    ints = pd.array([1, None, 3], dtype="Int64")
+    with pytest.raises(TypeError, match=r"column 'i' is IntegerArray of Int64, not numpy"):
+        ColumnBatch.of_arrays({"k": np.arange(3), "i": ints})
+    # as does a fused map that derives one
+    view = _View.of_batch(ColumnBatch.of_arrays({"k": np.arange(3)}))
+    with pytest.raises(TypeError, match="column 'i'"):
+        view.out(["k", "i"], i=ints)
+
+
+def test_of_arrays_keeps_objects_it_cannot_infer_to_numpy():
+    stamps = np.array([pd.Timestamp("2020-01-01", tz="UTC")] * 3, dtype=object)
+    cb = ColumnBatch.of_arrays({"t": stamps})
+    assert cb.cols[0] is stamps and cb.width == 24
+
+
+@pytest.mark.parametrize(
+    "other, where",
+    [
+        (lambda f: f.assign(v=f.v.astype("int64")),
+         r"column 3: 'v' \(int32\) against 'v' \(int64\)"),
+        (lambda f: f[["k", "d", "s", "v"]],
+         r"column 1: 's' \(object\) against 'd' \(datetime64\[ns\]\)"),
+        (lambda f: f.assign(w=f.v), r"column 4: no column against 'w' \(int32\)"),
+    ],
+    ids=["int32+int64", "reordered", "extra-column"],
+)
+def test_gather_of_differing_schemas_raises_naming_the_column(other, where):
+    first = batch(1, _rows(6, 1).astype("int32"))
+    parts = [as_columns(first), as_columns(other(batch(2, _rows(6, 2).astype("int32"))))]
+    with pytest.raises(ValueError, match=where):
+        concat_batches(parts)
+    with pytest.raises(ValueError, match=where):
+        gather(parts)
 
 
 def test_object_column_of_timestamps_stays_object():

@@ -1,7 +1,7 @@
 """GCS: transactional KV store with a write-ahead journal."""
 import pytest
 
-from repro.core.gcs import Gcs, TransactionError
+from repro.core.gcs import Gcs, TransactionError, read_journal
 
 
 def test_set_get():
@@ -89,14 +89,17 @@ def _journal_of_three(path):
 
 def test_torn_journal_tail_is_dropped(tmp_path):
     """A head crash mid-write tears the last line: recovery drops it and
-    rebuilds the store as it was before that transaction."""
+    rebuilds the store as it was before that transaction. A line whose
+    newline was not written is torn too."""
     path = tmp_path / "wal.jsonl"
     g = _journal_of_three(path)
     data = path.read_bytes()
     last = data.rstrip(b"\n").rfind(b"\n") + 1
     want = Gcs.replay(g.journal[:2])
-    for cut in (len(data) - 7, last + 1, len(data) - 2):
+    for cut in (len(data) - 7, last + 1, len(data) - 2, len(data) - 1):
         path.write_bytes(data[:cut])
+        # the records kept, and the bytes they fill: where the next goes
+        assert read_journal(path) == (want.journal, last)
         g2 = Gcs.recover_from_journal(str(path))
         assert g2.journal == want.journal
         assert g2.table("loc") == {"0.1.0": 2}

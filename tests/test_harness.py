@@ -2,6 +2,7 @@
 geomeans). Real numbers come from benchmarks/ at BENCH_SF."""
 import pytest
 
+from repro import oracle
 from repro.harness.configs import SYSTEMS
 from repro.harness.experiments import Harness, format_rows, geomean, table1_rows
 
@@ -75,3 +76,23 @@ def test_all_named_systems_run(tiny):
     for name in SYSTEMS:
         res = tiny.run("q6", name, 2)
         assert res.sim_time > 0
+
+
+def test_every_new_run_is_checked_against_the_oracle(monkeypatch):
+    """Each worker count and kill point is a run of its own, so each is
+    checked; a memoised run is not checked again."""
+    checked = []
+    real = oracle.assert_equivalent
+
+    def counted(df, sql, **db):
+        checked.append(sql)
+        real(df, sql, **db)
+
+    monkeypatch.setattr(oracle, "assert_equivalent", counted)
+    h = Harness(sf=0.003, input_batches=8, check_oracle=True)
+    for workers in (2, 4):
+        h.run("q6", "quokka", workers)
+    for frac in (0.3, 0.5):
+        h.run("q6", "quokka", 2, failure_frac=frac)
+    h.run("q6", "quokka", 4)
+    assert len(checked) == 4

@@ -8,13 +8,16 @@ entry and client part is a :class:`~repro.engine.util.ColumnBatch` or
 ``None``, and every operator is fed column batches. The queries cover a
 fused scan into a partial aggregation (q1), ``TopK`` (q3), q14's join
 projection and q9's ``post_ps``/``post_final``, with and without a
-failure, under upstream backup and under spooling.
+failure, under upstream backup and under spooling. Every column a
+killed run of any query holds is a numpy array.
 """
 import sys
 
+import numpy as np
 import pandas as pd
 import pytest
 
+from repro import synth_data
 from repro.engine import operators
 from repro.engine.executor import ExecConfig, Executor, Failure
 from repro.engine.util import ColumnBatch
@@ -68,7 +71,7 @@ def fed(monkeypatch):
 def built(monkeypatch):
     """Where frames are built: (function, its caller) of every
     ``pd.DataFrame`` constructor call, and the function of every
-    ``pd.concat`` call (``concat_batches``' fallback for mixed schemas)."""
+    ``pd.concat`` call."""
     sites = {"DataFrame": [], "concat": []}
     init, concat = pd.DataFrame.__init__, pd.concat
 
@@ -88,9 +91,9 @@ def built(monkeypatch):
 
 def _only_the_result_frame(built, where):
     """The run built one frame, ``RunResult.df`` (``to_frame`` called by
-    ``Executor.run``), and never fell back to ``pd.concat``."""
+    ``Executor.run``), and called no ``pd.concat``."""
     assert built["DataFrame"] == [("to_frame", "run")], where
-    assert built["concat"] == [], f"{where}: concat_batches fell back to pd.concat"
+    assert built["concat"] == [], f"{where}: pd.concat was called"
     built["DataFrame"].clear()
 
 
@@ -121,3 +124,30 @@ def test_engine_moves_only_column_batches(db, tables, fed, built, qname, ft_mode
     want = {"q1": {"HashAgg"}, "q3": {"SymmetricHashJoin", "HashAgg", "TopK"},
             "q14": {"SymmetricHashJoin", "HashAgg"}, "q9": {"SymmetricHashJoin", "HashAgg"}}
     assert set(fed) == want[qname]
+
+
+@pytest.fixture(scope="module")
+def tiny_db():
+    return synth_data.tpch_db(sf=0.003)
+
+
+@pytest.fixture(scope="module")
+def tiny_tables(tiny_db):
+    return {k: synth_data.split_batches(v, 8) for k, v in tiny_db.items()}
+
+
+@pytest.mark.parametrize("qname", list(QUERIES))
+def test_every_held_column_is_numpy(tiny_db, tiny_tables, qname):
+    """A killed and recovered run holds only numpy columns in its client
+    parts and its surviving backups (a dead worker's are gone)."""
+    cfg = ExecConfig(n_workers=4)
+    base = Executor(QUERIES[qname].plan(tiny_db), tiny_tables, cfg).run()
+    ex = _Checked(QUERIES[qname].plan(tiny_db), tiny_tables, cfg)
+    res = ex.run([Failure(1, 0.5 * base.sim_time)])
+    assert res.stats["n_recoveries"] == 1
+    held = [(where, b) for where, b in ex.held() if b is not None]
+    assert any(where.startswith("backup") for where, _ in held)
+    assert any(where.startswith("client") for where, _ in held) == bool(len(res.df))
+    for where, b in held:
+        for name, col in zip(b.names, b.cols):
+            assert type(col) is np.ndarray, f"{where}: {name!r} is a {type(col).__name__}"

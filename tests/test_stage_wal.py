@@ -1,10 +1,13 @@
 """Write-ahead lineage on real Spark: staged execution with journaled
 per-stage lineage, crash injection, and resume-from-journal."""
+import json
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro import oracle
+from repro.core.gcs import TransactionError
 from repro.sparkbridge.stage_wal import SimulatedCrash, SparkStage, StagedWalRunner
 
 
@@ -88,8 +91,6 @@ def test_resume_result_equals_fresh_result(spark, base, tmp_path):
 
 
 def test_journal_records_lineage(spark, base, tmp_path):
-    import json
-
     job = str(tmp_path / "job3")
     runner = StagedWalRunner(spark, _stages(), base, job)
     runner.run()
@@ -98,6 +99,35 @@ def test_journal_records_lineage(spark, base, tmp_path):
     ]
     assert [r["stage"] for r in records] == ["filtered", "joined", "agg"]
     assert records[1]["lineage"] == ["filtered", "orders"]
+
+
+def test_resume_after_a_torn_commit(spark, db, base, tmp_path):
+    """A crash in the middle of a commit's write tears the journal's last
+    line: resume drops that record, recomputes its stage and appends
+    whole lines after the ones that parse."""
+    job = str(tmp_path / "torn")
+    r1 = StagedWalRunner(spark, _stages(), base, job)
+    with pytest.raises(SimulatedCrash):
+        r1.run(crash_after="joined")
+    data = r1.journal_path.read_bytes()
+    r1.journal_path.write_bytes(data[: len(data) - 9])  # mid "joined"
+    r2 = StagedWalRunner(spark, _stages(), base, job)
+    out = r2.run()
+    assert r2.recomputed == ["joined", "agg"]
+    oracle.assert_equivalent(out, _SQL, lineitem=db["lineitem"], orders=db["orders"])
+    lines = r2.journal_path.read_text().splitlines()
+    assert [json.loads(line)["stage"] for line in lines] == ["filtered", "joined", "agg"]
+
+
+def test_corrupt_journal_line_before_the_tail_raises(spark, base, tmp_path):
+    job = str(tmp_path / "corrupt")
+    StagedWalRunner(spark, _stages(), base, job).run()
+    r2 = StagedWalRunner(spark, _stages(), base, job)
+    lines = r2.journal_path.read_text().splitlines(keepends=True)
+    lines[0] = lines[0][:20] + "\n"
+    r2.journal_path.write_text("".join(lines))
+    with pytest.raises(TransactionError, match="line 1"):
+        r2.run()
 
 
 def test_missing_output_dir_forces_recompute(spark, base, tmp_path):
