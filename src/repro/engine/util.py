@@ -92,9 +92,9 @@ class ColumnBatch:
         """The batch as one consolidated frame with a ``RangeIndex``.
 
         The dict constructor infers datetimes from an object array holding
-        only Timestamps (or Timedeltas, Periods), where ``pd.concat`` keeps
-        it object; such a column goes in as an object Series, which is kept
-        as is. An array that starts with a string cannot be inferred.
+        only Timestamps (or Timedeltas, Periods); such a column goes in as
+        an object Series, which keeps it object, as the batch holds it. An
+        array that starts with a string cannot be inferred.
         """
         data = {}
         for name, col in zip(self.names, self.cols):

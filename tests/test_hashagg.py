@@ -252,6 +252,13 @@ def test_derived_map_gets_the_grouped_frame():
     _assert_same(got, want, ["k0"])
 
 
+def test_extension_column_fails_early():
+    frame = pd.DataFrame({"k": pd.array([1, None], dtype="Int64"), "v": [1.0, 2.0]})
+    agg = HashAgg(["k"], {"s": lambda d: d.v})
+    with pytest.raises(TypeError, match="column 'k' has dtype Int64"):
+        agg.on_batch(0, as_columns(frame))
+
+
 def test_many_wide_keys_do_not_overflow_the_group_code():
     """Seven keys of 600 distinct values each span 600**7 > 2**63 codes:
     the groups seen so far are renumbered before the code would wrap."""
