@@ -19,6 +19,7 @@ Values must be JSON-serialisable (the lineage codecs in
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
@@ -132,12 +133,19 @@ class Gcs:
 
     @classmethod
     def recover_from_journal(cls, journal_path: str) -> "Gcs":
-        """Rebuild a store by replaying a journal file (head-node crash).
-        A transaction whose line the crash tore was never applied and is
-        dropped; corruption raises (see :func:`read_journal`)."""
+        """Rebuild a store by replaying a journal file (head-node crash),
+        journaling its later transactions to the same file. A transaction
+        whose line the crash tore was never applied: it is cut from the
+        file, so the next transaction starts its own line. Corruption, or
+        a journaled transaction the store rejects, raises and leaves the
+        file as it was (see :func:`read_journal`)."""
+        records, end = read_journal(journal_path)
         g = cls()
-        for ops in read_journal(journal_path)[0]:
+        for ops in records:
             g.transaction(ops)
+        os.truncate(journal_path, end)
+        g._journal_path = Path(journal_path)
+        g._fh = g._journal_path.open("a")
         return g
 
     @classmethod

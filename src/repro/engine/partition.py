@@ -63,9 +63,13 @@ def key_hash(batch: ColumnBatch, cols: list[str]) -> np.ndarray:
     shuffle routing and the join index. For a single integer column it is
     a bijection of the value (the splitmix64 finaliser is invertible), so
     equal hashes mean equal keys; otherwise callers must check equality."""
-    h = np.zeros(len(batch), dtype=np.uint64)
-    for c in cols:
-        h = h * _GOLDEN + _col_hash(batch.column(c))
+    if not cols:
+        return np.zeros(len(batch), dtype=np.uint64)
+    # Folding from zero would start at 0 * _GOLDEN + first: start there.
+    h = _col_hash(batch.column(cols[0]))
+    for c in cols[1:]:
+        h *= _GOLDEN
+        h += _col_hash(batch.column(c))
     return h
 
 

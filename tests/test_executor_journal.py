@@ -18,6 +18,7 @@ def test_engine_lineage_survives_head_crash(runner, tmp_path):
     assert revived.all_lineage() == ex.store.all_lineage()
     assert revived.gcs.table("closed") == ex.store.gcs.table("closed")
     assert revived.assignments() == ex.store.assignments()
+    revived.gcs.close()
 
 
 def test_journal_after_failure_recovery(runner, tmp_path):
@@ -35,3 +36,4 @@ def test_journal_after_failure_recovery(runner, tmp_path):
     assert revived.all_lineage() == ex.store.all_lineage()
     # rewound channels' new homes are persisted
     assert revived.assignments() == ex.store.assignments()
+    revived.gcs.close()

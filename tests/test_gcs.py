@@ -76,6 +76,7 @@ def test_journal_file_persistence_and_crash_recovery(tmp_path):
     g2 = Gcs.recover_from_journal(path)
     assert g2.get("lineage", "0.1") == [["S", 3], ["C", 0, 1, 0, 4]]
     assert g2.get("closed", "0.1") == 2
+    g2.close()
 
 
 def _journal_of_three(path):
@@ -104,8 +105,11 @@ def test_torn_journal_tail_is_dropped(tmp_path):
         assert g2.journal == want.journal
         assert g2.table("loc") == {"0.1.0": 2}
         assert g2.get("closed", "0.1") == 1
+        g2.close()
     path.write_bytes(data[:last])  # cut on a line boundary: nothing torn
-    assert Gcs.recover_from_journal(str(path)).journal == want.journal
+    g2 = Gcs.recover_from_journal(str(path))
+    assert g2.journal == want.journal
+    g2.close()
 
 
 def test_corrupt_journal_line_before_the_tail_raises(tmp_path):
@@ -118,6 +122,17 @@ def test_corrupt_journal_line_before_the_tail_raises(tmp_path):
         Gcs.recover_from_journal(str(path))
 
 
+def test_recovery_rejects_an_invalid_journaled_transaction(tmp_path):
+    """Replayed lines are validated like new transactions; a rejected one
+    raises before the torn tail is cut, so the file stays as it was."""
+    path = tmp_path / "wal.jsonl"
+    data = b'[["set", "a", "k", 1]]\n[["append", "a", "k", 2]]\n[["set", "a"'
+    path.write_bytes(data)
+    with pytest.raises(TransactionError, match="append to non-list"):
+        Gcs.recover_from_journal(str(path))
+    assert path.read_bytes() == data
+
+
 def test_journal_written_before_apply(tmp_path):
     """Write-ahead property: the journal line exists on disk by the time
     the transaction is visible in the store."""
@@ -128,6 +143,7 @@ def test_journal_written_before_apply(tmp_path):
         lines = fh.readlines()
     assert len(lines) == 1
     assert '"k"' in lines[0]
+    g.close()
 
 
 def test_append_to_non_list_rejected_entirely(tmp_path):
@@ -185,3 +201,36 @@ def test_unserialisable_value_rejected_with_or_without_journal(journaled):
     with pytest.raises(TransactionError):
         g2.transaction([["set", "a", "j", 2], ["set", "a", "k", object()]])
     assert (g2.table("a"), g2.journal, g2.txn_count) == ({}, [], 0)
+
+
+def test_recovered_store_stays_durable(tmp_path):
+    """A recovered store journals to the same file, so a second crash
+    loses nothing; replayed transactions are not written again."""
+    path = tmp_path / "wal.jsonl"
+    g = Gcs(str(path))
+    g.set("ns", "k", 1)
+    g.close()
+    g2 = Gcs.recover_from_journal(str(path))
+    assert path.read_text().count("\n") == 1
+    g2.set("ns", "k2", 2)
+    g2.close()
+    g3 = Gcs.recover_from_journal(str(path))
+    assert g3.table("ns") == {"k": 1, "k2": 2}
+    assert g3.journal == g2.journal and g3.txn_count == 2
+    g3.close()
+
+
+def test_commit_after_a_torn_tail_starts_its_own_line(tmp_path):
+    path = tmp_path / "wal.jsonl"
+    g = _journal_of_three(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-5])  # the head died writing the third line
+    g2 = Gcs.recover_from_journal(str(path))
+    g2.set("ns", "after", 1)
+    g2.close()
+    assert read_journal(path) == (g.journal[:2] + [[["set", "ns", "after", 1]]],
+                                  path.stat().st_size)
+    g3 = Gcs.recover_from_journal(str(path))
+    assert g3.journal == g2.journal
+    assert g3.get("ns", "after") == 1 and g3.table("loc") == {"0.1.0": 2}
+    g3.close()

@@ -4,9 +4,13 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import operators
-from repro.engine.operators import HashAgg, SymmetricHashJoin, TopK, _View
+from repro.engine.operators import (
+    HashAgg, SymmetricHashJoin, TopK, _hash_order, _JoinSide, _View,
+)
 from repro.engine.util import ColumnBatch, as_columns, row_nbytes
 
 
@@ -221,6 +225,83 @@ def test_join_random_interleavings_heavy_duplicates(seed):
     pd.testing.assert_frame_equal(
         _sorted(got), _sorted(expected), check_dtype=False
     )
+
+
+#: uint64 hashes that tie often and often share their high bits while
+#: their low bits differ, the case the packed-key sort must detect.
+_HASHES = st.sampled_from([0, 1, 2, 3, 2**40, 2**40 + 1, 2**63, 2**63 + 5, 2**64 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_HASHES, max_size=70))
+def test_hash_order_is_the_stable_argsort(hashes):
+    h = np.array(hashes, dtype=np.uint64)
+    order, sorted_h = _hash_order(h)
+    np.testing.assert_array_equal(order, np.argsort(h, kind="stable"))
+    np.testing.assert_array_equal(sorted_h, h[order])
+    assert order.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 1024, 1025])
+@pytest.mark.parametrize("pattern", ["random", "equal", "few"])
+def test_hash_order_explicit_sizes(n, pattern):
+    g = np.random.default_rng(n)
+    h = {
+        "random": g.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
+        "equal": np.full(n, 2**63 + 7, dtype=np.uint64),
+        "few": g.integers(0, 3, n).astype(np.uint64) << np.uint64(62),
+    }[pattern]
+    order, sorted_h = _hash_order(h)
+    np.testing.assert_array_equal(order, np.argsort(h, kind="stable"))
+    np.testing.assert_array_equal(sorted_h, h[order])
+
+
+def test_hash_order_falls_back_when_high_bits_collide(monkeypatch):
+    """3 and 2 agree above their lowest bit, which the packed keys give
+    to the position: rows 0 and 1 sort in position order, hashes 3 then
+    2, so the stable argsort must be taken."""
+    calls = []
+    argsort = np.argsort
+
+    def spy(*args, **kw):
+        calls.append(kw)
+        return argsort(*args, **kw)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    order, sorted_h = _hash_order(np.array([3, 2], dtype=np.uint64))
+    assert calls == [{"kind": "stable"}]
+    assert order.tolist() == [1, 0] and sorted_h.tolist() == [2, 3]
+    calls.clear()
+    _hash_order(np.array([3, 5, 3], dtype=np.uint64))
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_join_probe_emission_order(seed):
+    """Pairs come grouped by probe row, the rows stably sorted by hash,
+    and each row's stored matches in insertion order, across any
+    interleaving of appends and probes."""
+    g = np.random.default_rng(seed)
+    # few distinct hashes, some equal in their high bits only
+    pool = np.array([5, 9, 2**40, 2**40 + 3, 2**63, 2**63 + 1], dtype=np.uint64)
+    side, stored = _JoinSide(["k"]), []
+    for _ in range(30):
+        h = pool[g.integers(0, len(pool), g.integers(1, 40))]
+        if g.random() < 0.5:
+            side.append({"v": np.arange(len(h))}, 8, h)
+            stored.extend(h.tolist())
+            continue
+        mine, theirs = [], []
+        for r in sorted(range(len(h)), key=lambda r: int(h[r])):
+            for p, s in enumerate(stored):
+                if s == h[r]:
+                    mine.append(p)
+                    theirs.append(r)
+        hit = side.probe(h)
+        if not mine:
+            assert hit is None
+            continue
+        assert hit[0].tolist() == mine and hit[1].tolist() == theirs
 
 
 def test_join_composite_keys_exact_under_hash_collisions(monkeypatch):

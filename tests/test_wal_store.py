@@ -85,6 +85,7 @@ def test_lineage_survives_head_crash(tmp_path):
     assert revived.closed_total((1, 0)) == 2
     assert revived.watermark((1, 0)) == {(0, 0): 1}
     assert revived.assignments() == {(1, 0): 2}
+    revived.gcs.close()
 
 
 def test_all_lineage(store):
