@@ -228,6 +228,9 @@ class Executor:
         self.tables = tables
         self.cfg = cfg
         self.cost = cfg.cost
+        #: a run of this many inputs qualifies (fewer only once its
+        #: upstream is closed and drained); static mode takes exactly this
+        self.need = cfg.static_batch if cfg.dep_mode == "static" else DYNAMIC_MIN
         self.store = store or LineageStore(Gcs(cfg.journal_path))
         #: S3/HDFS-sim spooling target: survives any worker failure.
         self.durable: dict[TaskName, Optional[ColumnBatch]] = {}
@@ -411,16 +414,20 @@ class Executor:
     def _apply_close(self, cid: ChannelId) -> None:
         """Apply the close of ``cid`` to its consumer stage: one fewer open
         upstream channel, and every consumer channel that reads ``cid``
-        walks it again."""
+        walks it again. Only those are marked, unless this close opens
+        the stage's stagewise gate, which marks the whole stage."""
         cons = self.plan.consumer_of(cid[0])
         if cons is None:
             return
         self.open_ups[cons[0]] -= 1
+        gate_opens = self.cfg.exec_mode == "stagewise" and not self.open_ups[cons[0]]
         for ch in range(self.widths[cons[0]]):
             crt = self.channels[(cons[0], ch)]
             if cid in crt.uidx:
                 crt.touched.add(cid)
-            self._mark(crt.cid)
+                self._mark(crt.cid)
+            elif gate_opens:
+                self._mark(crt.cid)
 
     def _schedule_pass(self, now: float) -> None:
         """Fill the free slots of every live worker: queued recovery
@@ -556,10 +563,8 @@ class Executor:
         holds ``need`` inputs or all that its closed upstream has left, up
         to ``cap``; the richest run wins, the first in ``upstream_cids``
         on a tie. Once every upstream is closed and drained, it flushes."""
-        if self.cfg.dep_mode == "static":
-            need = cap = self.cfg.static_batch
-        else:
-            need, cap = DYNAMIC_MIN, None
+        need = self.need
+        cap = need if self.cfg.dep_mode == "static" else None
         for u in rt.touched:
             box = rt.inbox.get(u, {})
             w = w0 = rt.watermark.get(u, 0)
@@ -747,17 +752,34 @@ class Executor:
 
     # ------------------------------------------------------------------- apply
 
-    def _deliver(self, dest: ChannelId, u: ChannelId, seq: int, sl) -> None:
+    def _deliver(self, dest: ChannelId, u: ChannelId, seq: int, sl, kind: str) -> None:
+        """Store output ``seq`` of ``u``, pushed by a ``kind`` task, in
+        ``dest``'s inbox, and mark ``dest`` if its next build may take
+        something. A scan or stream output can do that only by making the
+        run at the watermark reach ``need``: it arrives in order, and its
+        upstream's close marks through :meth:`_apply_close`. So an empty
+        slice at the watermark is skipped here, as the build would skip
+        it. A recovery task's output, or any output for a retracing
+        channel, always marks."""
         drt = self.channels[dest]
         if not self.workers[drt.worker].alive:
             return
         if drt.watermark.get(u, 0) > seq:
             return  # already consumed (re-transmission after recovery)
         box = drt.inbox.setdefault(u, {})
-        if seq not in box:
-            box[seq] = sl
-            drt.touched.add(u)
-            self._mark(dest)
+        if seq in box:
+            return
+        box[seq] = sl
+        drt.touched.add(u)
+        if kind in ("scan", "stream") and not drt.retrace_records:
+            w = drt.watermark.get(u, 0)
+            while box.get(w, 0) is None:
+                del box[w]
+                w += 1
+            drt.watermark[u] = w
+            if any((w + i) not in box for i in range(self.need)):
+                return
+        self._mark(dest)
 
     def _persist(self, wid: int, name: TaskName, out) -> Optional[int | str]:
         """Back up (``wal``/``checkpoint``) or spool one output and return
@@ -794,7 +816,7 @@ class Executor:
             if cid[0] == self.plan.final_stage:
                 self.client.setdefault((cid, seq), out)
         for dest, u, seq, sl in task.deliveries:
-            self._deliver(dest, u, seq, sl)
+            self._deliver(dest, u, seq, sl, task.kind)
         if task.kind in ("replay", "rescan"):
             self.stats[f"n_{task.kind}s"] += 1
         else:

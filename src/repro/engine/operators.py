@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 import pandas as pd
 
-from .partition import key_hash
+from .partition import key_hash, slice_order
 from .util import ColumnBatch, concat_batches, dtype_width, pdf_nbytes
 
 
@@ -481,13 +481,15 @@ def _groups(keys: list[np.ndarray], rows: int) -> tuple[np.ndarray, np.ndarray]:
             span = int(codes.max()) + 1
         codes = c if codes is None else codes * len(uniq) + c
         span *= len(uniq)
+    # Every non-NA code is below ``span``: sort them in the narrowest
+    # unsigned type that holds it (the same stable permutation).
     if na.any():
         keep = np.flatnonzero(~na)
-        order = keep[np.argsort(codes[keep], kind="stable")]
+        order = keep[slice_order(codes[keep], span)]
         if not len(order):
             return order, order
     else:
-        order = np.argsort(codes, kind="stable")
+        order = slice_order(codes, span)
     sorted_codes = codes[order]
     starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
     return order, starts

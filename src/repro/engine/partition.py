@@ -50,9 +50,9 @@ def _col_hash(col: np.ndarray) -> np.ndarray:
     if kind == "M":
         return _mix64(col.view(np.int64).view(np.uint64))
     if kind in ("i", "u"):
-        return _mix64(col.astype(np.int64).view(np.uint64))
+        return _mix64(col.astype(np.int64, copy=False).view(np.uint64))
     if kind == "f":
-        return _mix64(col.astype(np.float64).view(np.uint64))
+        return _mix64(col.astype(np.float64, copy=False).view(np.uint64))
     if kind == "O":
         return _crc_hash(col, len(col))
     return _crc_hash(pd.Series(col, copy=False), len(col))
@@ -79,7 +79,8 @@ def hash_indices(batch: ColumnBatch, cols: list[str], n: int) -> np.ndarray:
 
 
 def slice_order(idx: np.ndarray, n: int) -> np.ndarray:
-    """The stable argsort of channel indices ``idx`` in ``[0, n)``.
+    """The stable argsort of channel indices (or any codes) ``idx`` in
+    ``[0, n)``.
 
     It sorts a copy in the narrowest unsigned type that holds ``n - 1``:
     numpy radix-sorts 8- and 16-bit integers, several times faster than

@@ -10,6 +10,12 @@ DuckDB oracle, the real-SparkSQL baseline (through
 :func:`split_batches` turns a table into the column batches the engine
 scans.
 
+Every column is built as one numpy array and the frame keeps it as is
+(``copy=False``: no consolidated block copy). Dates are datetime64[us]
+days after one epoch; a string column is an object array whose rows
+point to its few distinct ``str`` objects, not a fresh ``str`` per row.
+So a table costs about its own bytes to build and to hold.
+
 All eight TPC-H tables are provided (lineitem, orders, customer, part,
 supplier, partsupp, nation, region) with the column subset needed by the
 reproduced queries (Q1,3,5,6,7,8,9,10,12,14). See DESIGN.md §5 for the
@@ -43,6 +49,10 @@ _NATIONS = [
 _REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
 _P_TYPES = ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"]
 _SHIP_MODES = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"]
+#: Day 0 of every date column. datetime64[us] maps to plain TIMESTAMP in
+#: DuckDB/Arrow (TIMESTAMP_NS cannot be compared to DATE literals in
+#: DuckDB 1.0).
+_EPOCH = np.datetime64("1992-01-01", "us")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -53,6 +63,18 @@ def _n(per_sf: int, sf: float) -> int:
     return max(1, int(per_sf * sf))
 
 
+def _dates(days: np.ndarray) -> np.ndarray:
+    """``days`` after :data:`_EPOCH`, as datetime64[us]."""
+    return _EPOCH + days.astype("timedelta64[D]")
+
+
+def _choice(g: np.random.Generator, values: list[str], n: int) -> np.ndarray:
+    """``n`` uniform draws from ``values`` as an object array whose rows
+    share the ``len(values)`` str objects (the same draws as
+    ``g.choice(values, n)``, without a fresh str per row)."""
+    return g.choice(np.array(values, dtype=object), n)
+
+
 def lineitem_pdf(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     """Fact table. Keys reference orders/part/supplier at the same ``sf``."""
     n = _n(_N_LINEITEM_PER_SF, sf)
@@ -60,9 +82,7 @@ def lineitem_pdf(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     n_part = _n(_N_PART_PER_SF, sf)
     n_supp = _n(_N_SUPPLIER_PER_SF, sf)
     g = _rng(seed)
-    shipdate = pd.to_datetime("1992-01-01") + pd.to_timedelta(
-        g.integers(0, 2557, n), unit="D"
-    )
+    shipdate = _dates(g.integers(0, 2557, n))
     commit_delta = g.integers(-30, 60, n)
     receipt_delta = g.integers(1, 30, n)
     partkey = g.integers(1, n_part + 1, n)
@@ -72,9 +92,6 @@ def lineitem_pdf(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     per_part = max(1, min(4, n_supp))
     offs = g.integers(0, per_part, n)
     suppkey = ((partkey * 13 + offs * (n_supp // per_part + 1)) % n_supp) + 1
-    # datetime64[us]: maps to plain TIMESTAMP in DuckDB/Arrow (TIMESTAMP_NS
-    # cannot be compared to DATE literals in DuckDB 1.0).
-    shipdate = shipdate.astype("datetime64[us]")
     return pd.DataFrame(
         {
             "l_orderkey": g.integers(1, n_orders + 1, n),
@@ -85,17 +102,14 @@ def lineitem_pdf(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
             "l_extendedprice": (g.random(n) * 90000 + 900).round(2),
             "l_discount": (g.random(n) * 0.1).round(2),
             "l_tax": (g.random(n) * 0.08).round(2),
-            "l_returnflag": g.choice(list("NRA"), n),
-            "l_linestatus": g.choice(list("OF"), n),
+            "l_returnflag": _choice(g, list("NRA"), n),
+            "l_linestatus": _choice(g, list("OF"), n),
             "l_shipdate": shipdate,
-            "l_commitdate": (
-                shipdate + pd.to_timedelta(commit_delta, unit="D")
-            ).astype("datetime64[us]"),
-            "l_receiptdate": (
-                shipdate + pd.to_timedelta(receipt_delta, unit="D")
-            ).astype("datetime64[us]"),
-            "l_shipmode": g.choice(_SHIP_MODES, n),
-        }
+            "l_commitdate": shipdate + commit_delta.astype("timedelta64[D]"),
+            "l_receiptdate": shipdate + receipt_delta.astype("timedelta64[D]"),
+            "l_shipmode": _choice(g, _SHIP_MODES, n),
+        },
+        copy=False,
     )
 
 
@@ -107,17 +121,15 @@ def orders_pdf(*, sf: float = 0.01, seed: int = 1) -> pd.DataFrame:
         {
             "o_orderkey": np.arange(1, n + 1),
             "o_custkey": g.integers(1, n_cust + 1, n),
-            "o_orderstatus": g.choice(list("OFP"), n),
+            "o_orderstatus": _choice(g, list("OFP"), n),
             "o_totalprice": (g.random(n) * 500000 + 1000).round(2),
-            "o_orderdate": (
-                pd.to_datetime("1992-01-01")
-                + pd.to_timedelta(g.integers(0, 2406, n), unit="D")
-            ).astype("datetime64[us]"),
-            "o_orderpriority": g.choice(
-                ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
+            "o_orderdate": _dates(g.integers(0, 2406, n)),
+            "o_orderpriority": _choice(
+                g, ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
             ),
             "o_shippriority": np.zeros(n, dtype="int64"),
-        }
+        },
+        copy=False,
     )
 
 
@@ -129,10 +141,11 @@ def customer_pdf(*, sf: float = 0.01, seed: int = 2) -> pd.DataFrame:
             "c_custkey": np.arange(1, n + 1),
             "c_nationkey": g.integers(0, 25, n),
             "c_acctbal": (g.random(n) * 10000 - 1000).round(2),
-            "c_mktsegment": g.choice(
-                ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n
+            "c_mktsegment": _choice(
+                g, ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n
             ),
-        }
+        },
+        copy=False,
     )
 
 
@@ -142,13 +155,14 @@ def part_pdf(*, sf: float = 0.01, seed: int = 5) -> pd.DataFrame:
     return pd.DataFrame(
         {
             "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(_P_TYPES, n),
-            "p_brand": g.choice(
-                [f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n
+            "p_type": _choice(g, _P_TYPES, n),
+            "p_brand": _choice(
+                g, [f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n
             ),
             "p_size": g.integers(1, 51, n),
             "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
-        }
+        },
+        copy=False,
     )
 
 
@@ -160,7 +174,8 @@ def supplier_pdf(*, sf: float = 0.01, seed: int = 6) -> pd.DataFrame:
             "s_suppkey": np.arange(1, n + 1),
             "s_nationkey": g.integers(0, 25, n),
             "s_acctbal": (g.random(n) * 10000 - 1000).round(2),
-        }
+        },
+        copy=False,
     )
 
 
@@ -180,7 +195,8 @@ def partsupp_pdf(*, sf: float = 0.01, seed: int = 7) -> pd.DataFrame:
             "ps_suppkey": suppkey,
             "ps_availqty": g.integers(1, 10000, len(partkey)),
             "ps_supplycost": (g.random(len(partkey)) * 1000 + 1).round(2),
-        }
+        },
+        copy=False,
     )
 
 
@@ -190,13 +206,14 @@ def nation_pdf(**_: object) -> pd.DataFrame:
             "n_nationkey": np.arange(25),
             "n_name": [n for n, _ in _NATIONS],
             "n_regionkey": np.array([r for _, r in _NATIONS], dtype="int64"),
-        }
+        },
+        copy=False,
     )
 
 
 def region_pdf(**_: object) -> pd.DataFrame:
     return pd.DataFrame(
-        {"r_regionkey": np.arange(5), "r_name": _REGIONS}
+        {"r_regionkey": np.arange(5), "r_name": _REGIONS}, copy=False
     )
 
 

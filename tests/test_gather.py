@@ -247,7 +247,7 @@ def test_task_build_rejects_uncommitted_input(db, tables, path):
     ex, rt, u = _join_channel(db, tables)
     source = ex.tables[ex.plan.stages[u[0]].table][0]
     for seq in range(DYNAMIC_MIN):
-        ex._deliver(rt.cid, u, seq, partition(source, [], 1)[0])
+        ex._deliver(rt.cid, u, seq, partition(source, [], 1)[0], "stream")
     if path == "retrace":
         rt.retrace_records = [ConsumeLineage(u, 0, DYNAMIC_MIN)]
     with pytest.raises(RuntimeError, match="not all committed"):

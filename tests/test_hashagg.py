@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.engine.operators import HashAgg
+from repro.engine.operators import HashAgg, _groups
 from repro.engine.util import ColumnBatch, as_columns
 
 
@@ -275,3 +275,23 @@ def test_many_wide_keys_do_not_overflow_the_group_code():
     want, want_sizes = _run(ref, batches, "frame")
     assert got_sizes == want_sizes
     _assert_same(got, want, keys)
+
+
+@pytest.mark.parametrize("span", [255, 256, 257, 65_535, 65_536, 65_537])
+@pytest.mark.parametrize("with_na", [False, True])
+def test_group_order_is_the_stable_argsort_of_the_group_codes(span, with_na):
+    """``_groups`` sorts its codes in the narrowest unsigned type that
+    holds ``span - 1``; the order must be the int64 stable argsort's, on
+    either side of the 8- and 16-bit limits."""
+    g = np.random.default_rng(span)
+    values = np.concatenate([g.permutation(span), g.integers(0, span, span)])
+    key = values.astype(np.float64)
+    if with_na:  # NA rows between the others, so the span stays exact
+        key = np.insert(key, g.integers(0, len(key), span // 8), np.nan)
+    codes, uniq = pd.factorize(key, sort=True)
+    assert len(uniq) == span
+    keep = np.flatnonzero(codes >= 0)
+    want = keep[np.argsort(codes[keep], kind="stable")]
+    order, starts = _groups([key], len(key))
+    np.testing.assert_array_equal(order, want)
+    assert len(starts) == len(uniq)

@@ -147,7 +147,7 @@ def _commit(ex, u, n, close=False):
 
 def _deliver(ex, rt, u, seqs, empty=()):
     for seq in seqs:
-        ex._deliver(rt.cid, u, seq, None if seq in empty else _ROWS)
+        ex._deliver(rt.cid, u, seq, None if seq in empty else _ROWS, "stream")
 
 
 def _taken(task):
@@ -245,6 +245,65 @@ def test_flush_only_when_every_upstream_is_closed_and_consumed(monkeypatch):
     ex._apply_done(0.0, heapq.heappop(ex._heap)[2])
     assert rt.done and not rt.active
     assert ex.store.closed_total(rt.cid) == 1
+
+
+# ------------------------------------------------------------- marking
+
+
+def _clean(ex):
+    """Clear every channel's mark, as its build would."""
+    for rt in ex.channels.values():
+        if rt.dirty:
+            rt.dirty = False
+            ex.marked[rt.worker] -= 1
+
+
+def test_a_stream_delivery_marks_only_when_its_run_reaches_need():
+    ex, rt = _channel()
+    _clean(ex)
+    _deliver(ex, rt, U0, [0], empty=(0,))
+    # an empty slice at the watermark is skipped at delivery
+    assert not rt.dirty and rt.watermark[U0] == 1 and not rt.inbox[U0]
+    _deliver(ex, rt, U0, range(1, DYNAMIC_MIN))
+    assert not rt.dirty  # one input short, and U0 open
+    _deliver(ex, rt, U0, [DYNAMIC_MIN])
+    assert rt.dirty and ex.marked[rt.worker] == 1
+
+
+@pytest.mark.parametrize("kind", ["retrace", "replay", "rescan"])
+def test_a_recovery_task_delivery_always_marks(kind):
+    ex, rt = _channel()
+    _clean(ex)
+    ex._deliver(rt.cid, U0, 0, _ROWS, kind)
+    assert rt.dirty
+
+
+def test_a_delivery_to_a_retracing_channel_always_marks():
+    ex, rt = _channel()
+    rt.retrace_records = [ConsumeLineage(U0, 0, 2)]
+    _clean(ex)
+    _deliver(ex, rt, U0, [0], empty=(0,))
+    # the empty slice stays: the retrace consumes exactly its logged inputs
+    assert rt.dirty and rt.inbox[U0] == {0: None}
+
+
+@pytest.mark.parametrize("exec_mode", ["pipelined", "stagewise"])
+def test_a_close_marks_the_channels_that_read_it(exec_mode):
+    """Each channel of an aligned stage reads one scan channel; only the
+    close that opens a stagewise gate marks the whole stage."""
+    tables = {"a": [as_columns(pd.DataFrame({"k": [1]}))] * 3}
+    plan = Plan(
+        "aligned",
+        [ScanStage("a", n_channels=3), OpStage(_Recorder, [0], ["aligned"])],
+    )
+    ex = Executor(plan, tables, ExecConfig(n_workers=1, exec_mode=exec_mode))
+    marked = []
+    for ch in (1, 0, 2):
+        _clean(ex)
+        ex._apply_close((0, ch))
+        marked.append([ex.channels[(1, c)].dirty for c in range(3)])
+    last = [True] * 3 if exec_mode == "stagewise" else [False, False, True]
+    assert marked == [[False, True, False], [True, False, False], last]
 
 
 # ------------------------------------------------ per-upstream run state
